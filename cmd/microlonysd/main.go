@@ -76,8 +76,11 @@ type server struct {
 	chaosFailures int           // transient source failures injected per archive job
 	chaosSlow     time.Duration // latency injected per source read
 
+	// pending maps an archive name to the newest archive job submitted
+	// under it that has not settled yet; lookup waits on it.
 	mu       sync.Mutex
 	archives map[string]*core.Archived
+	pending  map[string]int64
 }
 
 // run parses flags, starts the manager and the HTTP listener, and blocks
@@ -131,6 +134,7 @@ func run(args []string, ready chan<- string) error {
 		mgr: mgr, opts: opts,
 		chaosFailures: *chaosFailures, chaosSlow: *chaosSlow,
 		archives: make(map[string]*core.Archived),
+		pending:  make(map[string]int64),
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -236,7 +240,18 @@ func (s *server) submit(w http.ResponseWriter, req jobs.Request) {
 	}
 }
 
-func (s *server) lookup(w http.ResponseWriter, name string) (*core.Archived, bool) {
+// lookup resolves an archive name for a request. While an archive job
+// under that name is pending, it first waits (as long as the request
+// lives) for the job to settle, so a client that has seen the job
+// succeed never gets a 404 for the archive it just made.
+func (s *server) lookup(w http.ResponseWriter, r *http.Request, name string) (*core.Archived, bool) {
+	s.mu.Lock()
+	id, pending := s.pending[name]
+	s.mu.Unlock()
+	if pending && !s.settle(r.Context(), name, id) {
+		http.Error(w, fmt.Sprintf("request ended while archive %q was pending", name), http.StatusServiceUnavailable)
+		return nil, false
+	}
 	s.mu.Lock()
 	arch, ok := s.archives[name]
 	s.mu.Unlock()
@@ -244,6 +259,27 @@ func (s *server) lookup(w http.ResponseWriter, name string) (*core.Archived, boo
 		http.Error(w, fmt.Sprintf("no archive named %q", name), http.StatusNotFound)
 	}
 	return arch, ok
+}
+
+// settle waits for archive job id, registers its archive under name if
+// it succeeded, and clears the name's pending entry if it is still this
+// job's. It reports false, changing nothing, if ctx ends first. Both the
+// job's own watcher and any lookup waiting on it may settle it; the
+// second call stores the same archive again.
+func (s *server) settle(ctx context.Context, name string, id int64) bool {
+	res, _, err := s.mgr.Wait(ctx, id)
+	if ctx.Err() != nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil && res.Archived != nil {
+		s.archives[name] = res.Archived
+	}
+	if s.pending[name] == id {
+		delete(s.pending, name)
+	}
+	return true
 }
 
 func (s *server) handleArchive(w http.ResponseWriter, r *http.Request) {
@@ -303,15 +339,12 @@ func (s *server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Store the finished archive under its name once the job succeeds.
-	go func() {
-		res, _, err := s.mgr.Wait(context.Background(), id)
-		if err == nil && res.Archived != nil {
-			s.mu.Lock()
-			s.archives[name] = res.Archived
-			s.mu.Unlock()
-		}
-	}()
+	// Register the archive under its name once the job ends; until then
+	// lookups of the name wait for it.
+	s.mu.Lock()
+	s.pending[name] = id
+	s.mu.Unlock()
+	go s.settle(context.Background(), name, id)
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]int64{"job": id})
 }
@@ -330,7 +363,7 @@ func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &b) {
 		return
 	}
-	arch, ok := s.lookup(w, b.Name)
+	arch, ok := s.lookup(w, r, b.Name)
 	if !ok {
 		return
 	}
@@ -347,7 +380,7 @@ func (s *server) handleRange(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &b) {
 		return
 	}
-	arch, ok := s.lookup(w, b.Name)
+	arch, ok := s.lookup(w, r, b.Name)
 	if !ok {
 		return
 	}
@@ -368,7 +401,7 @@ func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &b) {
 		return
 	}
-	arch, ok := s.lookup(w, b.Name)
+	arch, ok := s.lookup(w, r, b.Name)
 	if !ok {
 		return
 	}
@@ -389,7 +422,7 @@ func (s *server) handleListIndex(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &b) {
 		return
 	}
-	arch, ok := s.lookup(w, b.Name)
+	arch, ok := s.lookup(w, r, b.Name)
 	if !ok {
 		return
 	}
@@ -405,7 +438,7 @@ func (s *server) handleSalvage(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &b) {
 		return
 	}
-	arch, ok := s.lookup(w, b.Name)
+	arch, ok := s.lookup(w, r, b.Name)
 	if !ok {
 		return
 	}

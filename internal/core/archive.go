@@ -514,9 +514,11 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 	tasks := make(chan encodeTask, workers)
 
 	// Plan stage. Every group reaches the groups queue before its frame
-	// tasks are enqueued, so the queue order is the plan order; once a
-	// group is queued, all its tasks follow (cancellation is the placer's
-	// own doing, after which it stops waiting on done channels).
+	// tasks are enqueued, so the queue order is the plan order. Once a
+	// group is queued, all its tasks follow whatever the context does:
+	// the placer may already be waiting on that group's done channel, and
+	// only the last task closes it. The sends cannot block for good, since
+	// the workers drain every task (without encoding after a cancel).
 	planErr := make(chan error, 1)
 	go func() {
 		defer close(groups)
@@ -535,13 +537,9 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 				return ctx.Err()
 			}
 			for i := range pg.tasks {
-				select {
-				case tasks <- encodeTask{pg, i}:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
+				tasks <- encodeTask{pg, i}
 			}
-			return nil
+			return ctx.Err()
 		}
 		var err error
 		for _, sec := range sections {
@@ -595,6 +593,12 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 				placeErr = err
 				break
 			}
+		}
+		if placeErr == nil {
+			// After a cancel from outside, the workers skip encoding, so
+			// the group may hold empty frame slots: it must not reach the
+			// volume.
+			placeErr = ctx.Err()
 		}
 		if placeErr == nil {
 			if err := vol.WriteGroup(pg.frames); err != nil {

@@ -296,17 +296,23 @@ func TestRestoreParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRestoreParallelMatchesSerialEmulated(t *testing.T) {
-	// The emulated decode path reuses one DynaRisc CPU per worker: with
-	// Workers=1 a single machine decodes every frame back to back, with
-	// Workers=4 each pool goroutine owns its own. Byte identity across
-	// the counts pins both the pipeline determinism and the Reset-based
-	// reuse.
+	// The emulated decode path reuses one decoder scratch, rectified
+	// image and DynaRisc CPU per worker: with Workers=1 a single worker
+	// rectifies and decodes every frame back to back, with more each pool
+	// goroutine owns its own. Byte and stats identity across the counts
+	// pins both the pipeline determinism and the scratch reuse. The
+	// destroyed frame (a fogged placeholder, no emblem to rectify) puts a
+	// failed rectification between good ones on some worker and makes the
+	// reassembly recover its group.
 	data := testPayload(4000)
 	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialOut, _, err := RestoreWithOptions(arch.Medium, arch.BootstrapText,
+	if err := arch.Medium.Destroy(1); err != nil {
+		t.Fatal(err)
+	}
+	serialOut, serialSt, err := RestoreWithOptions(arch.Medium, arch.BootstrapText,
 		RestoreOptions{Mode: RestoreDynaRisc, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -314,13 +320,21 @@ func TestRestoreParallelMatchesSerialEmulated(t *testing.T) {
 	if !bytes.Equal(serialOut, data) {
 		t.Fatal("serial emulated restore differs from input")
 	}
-	out, _, err := RestoreWithOptions(arch.Medium, arch.BootstrapText,
-		RestoreOptions{Mode: RestoreDynaRisc, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if serialSt.FramesFailed != 1 || serialSt.GroupsRecovered != 1 {
+		t.Fatalf("serial stats %+v: want the destroyed frame failed and its group recovered", serialSt)
 	}
-	if !bytes.Equal(out, serialOut) {
-		t.Fatal("parallel emulated restore differs from serial")
+	for _, workers := range []int{2, 8} {
+		out, st, err := RestoreWithOptions(arch.Medium, arch.BootstrapText,
+			RestoreOptions{Mode: RestoreDynaRisc, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !bytes.Equal(out, serialOut) {
+			t.Fatalf("workers=%d: emulated restore differs from serial", workers)
+		}
+		if !reflect.DeepEqual(st, serialSt) {
+			t.Fatalf("workers=%d: stats %+v != serial %+v", workers, st, serialSt)
+		}
 	}
 }
 

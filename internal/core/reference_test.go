@@ -144,7 +144,7 @@ func splitChunks(stream []byte, capacity int) [][]byte {
 // referenceDecode is the seed scan+decode stage over a single medium.
 func referenceDecode(ctx context.Context, m *media.Medium, layout emblem.Layout, ro RestoreOptions, moProg *dynarisc.Program) ([]frameResult, error) {
 	results := make([]frameResult, m.FrameCount())
-	scratch := make([]emuScratch, resolveWorkers(ro.Workers, len(results)))
+	scratch := make([]scanScratch, resolveWorkers(ro.Workers, len(results)))
 	err := forEachFrame(ctx, ro.Workers, len(results), func(_ context.Context, worker, i int) error {
 		scan, err := m.ScanFrame(i)
 		if err != nil {

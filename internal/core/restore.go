@@ -197,7 +197,7 @@ func restoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro Rest
 				res.corrected = stats.BytesCorrected
 			}
 		default:
-			res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, layout, ro.Mode)
+			res.payload, res.hdr, err = decodeFrameEmulated(sc, moProg, scan, layout, ro.Mode)
 		}
 		res.decoded = err == nil
 		completed <- i
@@ -767,12 +767,16 @@ func verifyDBDecodeOutput(blob, out []byte) error {
 
 // scanScratch is one restore worker's reusable state for the fused
 // scan+decode stage: the media scan buffers (the full-resolution frame
-// images the scanner simulation renders through), the native decoder's
-// per-frame scratch, and the emulated modes' machine state. Each worker
-// id owns exactly one goroutine for a run (see forEachFrame), so the
-// scratch is reused serially without locks — a steady-state native frame
-// decode allocates only its payload and stats, and the scan stage is down
-// to a handful of small per-frame allocations (the distortion RNG and the
+// images the scanner simulation renders through), the decoder scratch,
+// and the emulated modes' machine state. The decoder scratch serves both
+// sides of the mode switch: the native decode threads it through
+// mocoder.DecodeWith, and the emulated modes through mocoder.RectifyWith,
+// which reuses its frame-detection buffers and caches its own tap table.
+// Each worker id owns exactly one goroutine for a run (see forEachFrame),
+// so the scratch is reused serially without locks — a steady-state
+// native frame decode allocates only its payload and stats, an emulated
+// frame's rectification allocates nothing, and the scan stage is down to
+// a handful of small per-frame allocations (the distortion RNG and the
 // blur/warp lookup tables) instead of two or three full-resolution
 // images.
 type scanScratch struct {
@@ -782,21 +786,22 @@ type scanScratch struct {
 }
 
 // emuScratch is one worker's reusable emulator state for the emulated
-// restore modes: the DynaRisc reference CPU (RestoreDynaRisc), the
-// VeRisc-hosted runner (RestoreNested) and the input framing buffer.
-// Each worker id owns exactly one goroutine for a run (see
-// forEachFrame), so the scratch is reused serially without locks and a
-// frame decode allocates its payload and nothing else — not the
-// multi-megawords machine image it used to build per frame.
+// restore modes: the rectified image handed to the archived decoder, the
+// DynaRisc reference CPU (RestoreDynaRisc), the VeRisc-hosted runner
+// (RestoreNested) and the input framing buffer. A frame decode allocates
+// its payload and nothing else: the rectified image and the
+// multi-megaword machine image are reused from frame to frame.
 type emuScratch struct {
+	rect   *raster.Gray
 	cpu    *dynarisc.CPU
 	nested *nested.Runner
 	in     []uint16
 }
 
 // decodeFrameEmulated runs the archived MODecode program on a scan,
-// reusing the worker's emulator and buffers.
-func decodeFrameEmulated(s *emuScratch, prog *dynarisc.Program, scan *raster.Gray, l emblem.Layout, mode Mode) ([]byte, emblem.Header, error) {
+// reusing the worker's decoder scratch, emulator and buffers.
+func decodeFrameEmulated(sc *scanScratch, prog *dynarisc.Program, scan *raster.Gray, l emblem.Layout, mode Mode) ([]byte, emblem.Header, error) {
+	s := &sc.emu
 	// Host-side image preprocessing per the Bootstrap (§3.3 step 1):
 	// deskew and rescale the scan onto the nominal grid before handing
 	// the flat pixel array to the archived decoder. The Bootstrap fixes
@@ -807,10 +812,11 @@ func decodeFrameEmulated(s *emuScratch, prog *dynarisc.Program, scan *raster.Gra
 	if rl.PxPerModule > 3 {
 		rl.PxPerModule = 3
 	}
-	scan, err := mocoder.Rectify(scan, rl)
+	scan, err := mocoder.RectifyWith(&sc.dec, s.rect, scan, rl)
 	if err != nil {
 		return nil, emblem.Header{}, err
 	}
+	s.rect = scan
 
 	// Input framing per the Bootstrap: [W, H, dataW, dataH, pixels...],
 	// assembled into the worker's reusable buffer.

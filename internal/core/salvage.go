@@ -278,7 +278,7 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 				res.scanned, res.decoded = false, false
 				return nil
 			}
-			res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, layout, opts.Mode)
+			res.payload, res.hdr, err = decodeFrameEmulated(sc, moProg, scan, layout, opts.Mode)
 			res.decoded = err == nil
 			res.corrected = 0
 			return nil

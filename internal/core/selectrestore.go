@@ -273,7 +273,7 @@ func probeFrame(v *media.Volume, i, sheet int, mode Mode, moProg *dynarisc.Progr
 	case RestoreNative:
 		payload, hdr, _, err = mocoder.DecodeWith(&sc.dec, scan, layout)
 	default:
-		payload, hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, layout, mode)
+		payload, hdr, err = decodeFrameEmulated(sc, moProg, scan, layout, mode)
 	}
 	if err != nil {
 		st.FramesFailed++
@@ -461,7 +461,7 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 				res.corrected = stats.BytesCorrected
 			}
 		default:
-			res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, doc.Layout, ro.Mode)
+			res.payload, res.hdr, err = decodeFrameEmulated(sc, moProg, scan, doc.Layout, ro.Mode)
 		}
 		res.decoded = err == nil
 		return nil

@@ -104,10 +104,10 @@ func findAllValid(t *testing.T, f *Finder, src []byte) int {
 	return matched
 }
 
-// TestConfigVariantsValid runs every Config combination over repetitive and
-// random inputs: the speed options may change which matches are found, but
-// every match must stay a valid back-reference.
-func TestConfigVariantsValid(t *testing.T) {
+// TestDepthVariantsValid runs the default and a shallow chain depth over
+// repetitive and random inputs: depth may change which matches are found,
+// but every match must stay a valid back-reference.
+func TestDepthVariantsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	text := bytes.Repeat([]byte("INSERT INTO lineitem VALUES (42, 'x');\n"), 400)
 	noise := make([]byte, 8192)
@@ -115,24 +115,17 @@ func TestConfigVariantsValid(t *testing.T) {
 	runs := append(bytes.Repeat([]byte{5}, 2000), noise[:512]...)
 
 	for _, src := range [][]byte{text, noise, runs} {
-		for _, cfg := range []Config{
-			{},
-			{Depth: 16},
-			{HashLen: 4},
-			{SkipAhead: true},
-			{HashLen: 4, SkipAhead: true, Depth: 8},
-		} {
-			f := NewFinderConfig(src, cfg)
+		for _, depth := range []int{0, 16} {
+			f := NewFinder(src, depth)
 			matched := findAllValid(t, f, src)
 			if &src[0] == &text[0] && matched == 0 {
-				t.Fatalf("cfg %+v found no matches in repetitive text", cfg)
+				t.Fatalf("depth %d found no matches in repetitive text", depth)
 			}
 		}
 	}
 }
 
-// TestInsertRangeMatchesInsert pins InsertRange without SkipAhead to be
-// exactly n Inserts: the chains (and therefore every future Find) must be
+// TestInsertRangeMatchesInsert pins InsertRange to be exactly n Inserts: the chains (and therefore every future Find) must be
 // identical, since the default archival encoder runs through InsertRange.
 func TestInsertRangeMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -163,25 +156,6 @@ func TestInsertRangeMatchesInsert(t *testing.T) {
 		if a.prev[i] != b.prev[i] {
 			t.Fatalf("prev[%d]: %d vs %d", i, a.prev[i], b.prev[i])
 		}
-	}
-}
-
-// TestSkipAheadThinsChains checks the skip option actually skips: inside a
-// long run, only every skipAheadStep-th interior position is indexed.
-func TestSkipAheadThinsChains(t *testing.T) {
-	src := bytes.Repeat([]byte{9}, 500)
-	f := NewFinderConfig(src, Config{SkipAhead: true})
-	f.InsertRange(0, 400)
-	count := 0
-	for cand := f.head[f.hash(0)]; cand >= 0; cand = f.prev[cand] {
-		count++
-		if count > 400 {
-			t.Fatal("chain cycle")
-		}
-	}
-	want := (400 + skipAheadStep - 1) / skipAheadStep
-	if count != want {
-		t.Fatalf("chain length %d, want %d (every %d-th of 400)", count, want, skipAheadStep)
 	}
 }
 

@@ -20,12 +20,6 @@ const (
 
 	hashBits = 16
 	hashSize = 1 << hashBits
-
-	// skipAheadMin/skipAheadStep govern the SkipAhead option: while
-	// stepping over a match longer than skipAheadMin, only every
-	// skipAheadStep-th interior position enters the hash chains.
-	skipAheadMin  = 64
-	skipAheadStep = 4
 )
 
 // Match is a back-reference into the already-emitted stream.
@@ -34,56 +28,27 @@ type Match struct {
 	Length   int
 }
 
-// Config tunes a Finder beyond the chain depth. The zero value selects the
-// reference behaviour (3-byte hash, full insertion), which is what DBC1
-// archival encoding uses — the speed options below trade compression ratio
-// for encode throughput and therefore change the token stream.
-type Config struct {
-	// Depth bounds the chain walk per query; 0 selects the default (64).
-	Depth int
-
-	// HashLen selects how many bytes feed the chain hash: 3 (the default)
-	// or 4. A 4-byte hash sharply cuts chain collisions on long inputs
-	// (fewer false candidates per Find), at the cost of missing 3-byte
-	// matches whose fourth byte differs; positions within 4 bytes of the
-	// end are not indexed.
-	HashLen int
-
-	// SkipAhead makes InsertRange index only every skipAheadStep-th
-	// position inside matches longer than skipAheadMin, the classic
-	// fast-mode trade on highly repetitive inputs.
-	SkipAhead bool
-}
-
 // Finder finds matches in a fixed input buffer using hash chains over
-// 3-byte (default) or 4-byte prefixes.
+// 3-byte prefixes.
 type Finder struct {
 	src   []byte
 	head  []int32 // hash -> most recent position
 	prev  []int32 // position -> previous position with same hash
 	depth int     // max chain links to follow
-	hash4 bool    // 4-byte hash instead of 3-byte
-	skip  bool    // skip-ahead insertion inside long matches
 }
 
 // NewFinder returns a finder over src. depth bounds the chain walk per
-// query; 64 is a good speed/ratio compromise, higher favours ratio.
+// query (0 selects the default, 64); 64 is a good speed/ratio compromise,
+// higher favours ratio.
 func NewFinder(src []byte, depth int) *Finder {
-	return NewFinderConfig(src, Config{Depth: depth})
-}
-
-// NewFinderConfig returns a finder over src with explicit tuning options.
-func NewFinderConfig(src []byte, cfg Config) *Finder {
-	if cfg.Depth <= 0 {
-		cfg.Depth = 64
+	if depth <= 0 {
+		depth = 64
 	}
 	f := &Finder{
 		src:   src,
 		head:  make([]int32, hashSize),
 		prev:  make([]int32, len(src)),
-		depth: cfg.Depth,
-		hash4: cfg.HashLen == 4,
-		skip:  cfg.SkipAhead,
+		depth: depth,
 	}
 	for i := range f.head {
 		f.head[i] = -1
@@ -91,19 +56,8 @@ func NewFinderConfig(src []byte, cfg Config) *Finder {
 	return f
 }
 
-// hashMin returns the number of bytes the configured hash consumes.
-func (f *Finder) hashMin() int {
-	if f.hash4 {
-		return 4
-	}
-	return MinMatch
-}
-
 func (f *Finder) hash(i int) uint32 {
 	s := f.src
-	if f.hash4 {
-		return (binary.LittleEndian.Uint32(s[i:]) * 2654435761) >> (32 - hashBits)
-	}
 	h := uint32(s[i]) | uint32(s[i+1])<<8 | uint32(s[i+2])<<16
 	return (h * 2654435761) >> (32 - hashBits)
 }
@@ -112,7 +66,7 @@ func (f *Finder) hash(i int) uint32 {
 // inserted in increasing order, and every position the encoder steps past
 // (including those inside emitted matches) should be inserted.
 func (f *Finder) Insert(i int) {
-	if i+f.hashMin() > len(f.src) {
+	if i+MinMatch > len(f.src) {
 		return
 	}
 	h := f.hash(i)
@@ -121,25 +75,20 @@ func (f *Finder) Insert(i int) {
 }
 
 // InsertRange registers positions [i, i+n) — typically the interior of an
-// emitted match the encoder is stepping over. With the SkipAhead option
-// and n above the skip threshold, only every skipAheadStep-th position is
-// indexed; otherwise every position is, exactly as n calls to Insert.
+// emitted match the encoder is stepping over — exactly as n calls to
+// Insert.
 func (f *Finder) InsertRange(i, n int) {
 	if n <= 0 {
 		return
 	}
-	last := len(f.src) - f.hashMin()
+	last := len(f.src) - MinMatch
 	if i+n-1 > last {
 		n = last - i + 1
 		if n <= 0 {
 			return
 		}
 	}
-	step := 1
-	if f.skip && n > skipAheadMin {
-		step = skipAheadStep
-	}
-	for j := 0; j < n; j += step {
+	for j := 0; j < n; j++ {
 		h := f.hash(i + j)
 		f.prev[i+j] = f.head[h]
 		f.head[h] = int32(i + j)
@@ -149,7 +98,7 @@ func (f *Finder) InsertRange(i, n int) {
 // Find returns the longest match for position i (without inserting it), or
 // a zero Match if none of at least MinMatch exists.
 func (f *Finder) Find(i int) Match {
-	if i+f.hashMin() > len(f.src) {
+	if i+MinMatch > len(f.src) {
 		return Match{}
 	}
 	limit := len(f.src) - i

@@ -154,6 +154,11 @@ type DecodeScratch struct {
 	tabLayout  emblem.Layout
 	uTab, vTab []float64
 
+	// Rectify's per-column supersampling taps, cached under their own
+	// layout key (the rectified layout, not the scanned one).
+	rectLayout emblem.Layout
+	rectTaps   []rectTap
+
 	lens     []int
 	levels   []bool
 	stream   []byte

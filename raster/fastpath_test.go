@@ -9,8 +9,9 @@ import (
 // The hot-path rewrites (direct Pix indexing in SampleBilinear and
 // areaAverage, the row-major vertical blur pass) must be byte-identical
 // to the straightforward reference formulations they replaced — the
-// media scanner and Rectify sit in front of every decode mode, so a
-// single differing pixel would ripple into every restore. These tests
+// media scanner sits in front of every decode mode and Rectify in front
+// of the emulated ones, so a single differing pixel would ripple into
+// every restore. These tests
 // pin that equivalence against reference implementations.
 
 func noisyImage(w, h int, seed int64) *Gray {
