@@ -18,6 +18,10 @@ var (
 	ErrStepLimit  = errors.New("dynarisc: step limit exceeded")
 	ErrBadAddress = errors.New("dynarisc: memory access out of range")
 	ErrBadOpcode  = errors.New("dynarisc: undefined opcode")
+	// ErrBadRegister reports an instruction naming register id 12..15
+	// in a field it uses; such a word can only come from a damaged
+	// program image.
+	ErrBadRegister = errors.New("dynarisc: undefined register")
 )
 
 // CPU is the reference DynaRisc emulator.
@@ -258,6 +262,29 @@ func shiftResult(op Op, v uint32, count int, w uint) (res uint32, carry, carrySe
 	}
 }
 
+// checkRegs returns ErrBadRegister when the instruction at pc uses a
+// register field holding an undefined id (12..15). Fields it does not
+// use (all of HALT's, rd of an absolute jump, rs of LDI and the jumps,
+// any field of an undefined opcode) may hold anything.
+func checkRegs(op Op, rd, rs, mode int, pc uint16) error {
+	useRd, useRs := false, false
+	switch op {
+	case MOVE, LDM, STM, ADD, ADC, SUB, SBB, CMP, MUL, AND, OR, XOR, LSL, LSR, ASR, ROR:
+		useRd, useRs = true, true
+	case LDI:
+		useRd = true
+	case JUMP, JZ, JNZ, JC, JNC:
+		useRd = mode&1 == 1
+	}
+	switch {
+	case useRd && rd >= NumRegs:
+		return fmt.Errorf("%w: %s at pc=%#x", ErrBadRegister, RegName(rd), pc)
+	case useRs && rs >= NumRegs:
+		return fmt.Errorf("%w: %s at pc=%#x", ErrBadRegister, RegName(rs), pc)
+	}
+	return nil
+}
+
 // Step executes one instruction.
 func (c *CPU) Step() error {
 	if c.Halted {
@@ -273,6 +300,11 @@ func (c *CPU) Step() error {
 	c.Steps++
 	c.PC++
 	op, rd, rs, mode := Decode(instr)
+	if rd >= NumRegs || rs >= NumRegs {
+		if err := checkRegs(op, rd, rs, mode, c.PC-1); err != nil {
+			return err
+		}
+	}
 
 	switch op {
 	case HALT:
@@ -408,7 +440,8 @@ func (c *CPU) Step() error {
 // the Trace and MaxSteps checks out of the per-instruction common case
 // (a set Trace falls back to the Step loop; the step budget becomes a
 // pre-resolved local limit) and keeps no error formatting on the hot
-// path. Semantics are identical to calling Step in a loop — the
+// path; register fields are checked further only when one holds an id
+// of 12..15. Semantics are identical to calling Step in a loop — the
 // differential tests in run_test.go and internal/dynprog pin that
 // equivalence on the archived decoder programs.
 func (c *CPU) Run() error {
@@ -439,6 +472,12 @@ func (c *CPU) Run() error {
 		steps++
 		pc++
 		op, rd, rs, mode := Decode(instr)
+		if rd >= NumRegs || rs >= NumRegs {
+			if err := checkRegs(op, rd, rs, mode, pc-1); err != nil {
+				c.PC, c.Steps = pc, steps
+				return err
+			}
+		}
 
 		switch op {
 		case HALT:

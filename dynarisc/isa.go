@@ -31,9 +31,14 @@
 //	word 0:  op[15:11] rd[10:7] rs[6:3] mode[2:0]
 //	word 1:  immediate (LDI and absolute jumps only)
 //
-// Register ids: 0..7 = R0..R7, 8..11 = D0..D3. mode 1 selects the variant
-// of MOVE (MOVH: load the high byte of a pointer register) and of the jump
-// family (register-indirect target in Rd).
+// Register ids: 0..7 = R0..R7, 8..11 = D0..D3. Ids 12..15 are invalid
+// and no program may use them: the reference CPU fails an instruction
+// that uses one with ErrBadRegister (a field the instruction ignores may
+// hold anything), and the archived VeRisc-hosted emulator indexes a
+// 12-entry register array with them, so their behaviour there is
+// undefined. mode 1 selects the variant of MOVE (MOVH: load the high
+// byte of a pointer register) and of the jump family (register-indirect
+// target in Rd).
 package dynarisc
 
 import "fmt"

@@ -2,6 +2,7 @@ package dynarisc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -123,13 +124,8 @@ func TestRunMatchesStepProgram(t *testing.T) {
 // the end of the code image.
 func TestRunStepEquivalenceProperty(t *testing.T) {
 	f := func(words []uint16, in []uint16) bool {
-		// Clamp register fields to architecturally valid ids (0..11):
-		// id 12..15 panics identically on both paths, which would abort
-		// the comparison rather than exercise it.
-		for i, w := range words {
-			op, rd, rs, mode := Decode(w)
-			words[i] = Encode(op, rd%NumRegs, rs%NumRegs, mode)
-		}
+		// Register fields keep every id, 12..15 included: both paths
+		// must fail those with the same ErrBadRegister.
 		mk := func() *CPU {
 			c := NewCPU(1 << 16)
 			copy(c.Mem, words)
@@ -153,6 +149,65 @@ func TestRunStepEquivalenceProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBadRegisterIds runs every opcode in both modes with an undefined
+// register id (12..15) in rd, rs or both. An instruction that uses such
+// a field fails with ErrBadRegister instead of crashing the host; one
+// that ignores it runs as usual. Run and the Step loop agree on the
+// error and on every piece of state.
+func TestBadRegisterIds(t *testing.T) {
+	fields := []struct{ rd, rs int }{{13, R0}, {R1, 13}, {12, 15}, {D0, 14}, {15, D1}}
+	for op := Op(0); op < OpCount; op++ {
+		for mode := 0; mode < 2; mode++ {
+			// The fields each instruction uses, spelled out from the ISA.
+			usesRd, usesRs := true, true
+			switch op {
+			case HALT:
+				usesRd, usesRs = false, false
+			case LDI:
+				usesRs = false
+			case JUMP, JZ, JNZ, JC, JNC:
+				usesRd, usesRs = mode == 1, false
+			}
+			for _, f := range fields {
+				mk := func() *CPU {
+					c := NewCPU(64)
+					c.Mem[0] = Encode(op, f.rd, f.rs, mode)
+					c.Mem[1] = 4 // immediate or jump target
+					c.Mem[2] = Encode(HALT, 0, 0, 0)
+					c.MaxSteps = 10
+					return c
+				}
+				run := mk()
+				runErr := run.Run()
+				step := mk()
+				stepErr := stepLoop(step)
+
+				name := fmt.Sprintf("%v rd=%d rs=%d mode=%d", op, f.rd, f.rs, mode)
+				if fmt.Sprint(runErr) != fmt.Sprint(stepErr) {
+					t.Fatalf("%s: Run error %v, Step error %v", name, runErr, stepErr)
+				}
+				if !stateEqual(run, step) {
+					t.Fatalf("%s: state divergence:\nrun:  %+v\nstep: %+v", name, run, step)
+				}
+				wantBad := usesRd && f.rd >= NumRegs || usesRs && f.rs >= NumRegs
+				if errors.Is(runErr, ErrBadRegister) != wantBad {
+					t.Fatalf("%s: error %v, want ErrBadRegister %v", name, runErr, wantBad)
+				}
+				if wantBad && (run.Steps != 1 || run.PC != 1) {
+					t.Fatalf("%s: failed at steps=%d pc=%d, want 1/1", name, run.Steps, run.PC)
+				}
+			}
+		}
+	}
+
+	// The reported crash: MOVE R1, <id 13>.
+	c := NewCPU(16)
+	c.Mem[0] = Encode(MOVE, R1, 13, 0)
+	if err := c.Run(); !errors.Is(err, ErrBadRegister) {
+		t.Fatalf("MOVE R1, reg(13): got %v, want ErrBadRegister", err)
 	}
 }
 

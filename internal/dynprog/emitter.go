@@ -15,6 +15,10 @@
 // accesses consistent. The emitter reserves R4 and D3 as variable-access
 // scratch, R5 as the constant 1, R6 as the link register and R7 for MUL
 // high words; generated code keeps its live values in R0..R3 and memory.
+// The exception is a leaf hot loop that does no variable access, CALL or
+// MUL: nothing can clobber R4, R7 or D3 there, so it may hold loop state
+// in them too. MODecode's pixel ingest, row sampling and syndrome loops
+// run that way, with no memory traffic for their own state.
 package dynprog
 
 import (

@@ -140,23 +140,38 @@ func setPtr24(a *asm, d string, addr int) {
 }
 
 func buildMODecodeSource() string {
+	return moSource(moHotLoops{ingest: moIngest, sampleRow: moSampleRow, syndromes: moSyndromes})
+}
+
+// moHotLoops holds the emitters of MODecode's hot loops, where nearly
+// all of a frame's steps go, so the tests can build the program around
+// a reference formulation of them.
+type moHotLoops struct {
+	ingest    func(*asm) // pixels into the pixel buffer, then THR
+	sampleRow func(*asm) // the samplerow subroutine
+	syndromes func(*asm) // rsblock's syndrome evaluation
+}
+
+// moSource assembles the MODecode source around the given hot loops.
+func moSource(h moHotLoops) string {
 	a := &asm{}
 	a.l("; MODecode — emblem scan decoder (geometry, Differential Manchester,")
 	a.l("; interleaved RS(255,223) error correction).")
 	moEqus(a)
 
 	moMain(a)
+	h.ingest(a)
 	moGeometry(a)
 	moDemod(a)
 	moHeaderBlocks(a)
 	moRSDriver(a)
 	moOutput(a)
-	moSubroutines(a)
+	moSubroutines(a, h.sampleRow, h.syndromes)
 	moGFTables(a)
 	return a.String()
 }
 
-// moMain reads the header words and all pixels into the pixel buffer.
+// moMain reads the header words and derives the module grid size.
 func moMain(a *asm) {
 	a.label("start")
 	a.l("\tLDI  R5, 1")
@@ -173,50 +188,47 @@ func moMain(a *asm) {
 		a.l("\tADD  R0, R1")
 		a.stv("R0", p[1])
 	}
+}
 
-	// Read W*H pixels, tracking min/max for the threshold.
-	a.l("\tLDI  R0, 255")
-	a.stv("R0", "MINV")
-	a.l("\tLDI  R0, 0")
-	a.stv("R0", "MAXV")
-	a.ldv("R0", "SCANW")
-	a.ldv("R1", "SCANH")
-	a.l("\tMUL  R0, R1") // lo in R0, hi in R7
-	a.l("\tMOVE R2, R7")
-	a.stv("R0", "CXLO") // reuse CX pair as the pixel-count pair
-	a.stv("R2", "CXHI")
+// moIngest reads the scanW×scanH pixels into the pixel buffer and sets
+// THR to the midpoint of their range. It is the hottest loop of the
+// program (one pass per pixel), so it runs as a leaf with its whole
+// state in registers: R1 counts columns, R2 rows, R3 holds the minimum
+// and R4 the maximum, R7 the row width; D1 is the input port and D2 the
+// buffer cursor. Both dimensions are tested for zero first, so an empty
+// scan reads nothing.
+func moIngest(a *asm) {
+	a.ldv("R7", "SCANW")
+	a.ldv("R2", "SCANH")
 	setPtr24(a, "D2", moPixels)
-	a.label("pxloop")
-	a.ldv("R0", "CXLO")
-	a.ldv("R1", "CXHI")
-	a.l("\tMOVE R2, R0")
-	a.l("\tOR   R2, R1")
+	a.l("\tLDI  R3, 255")
+	a.l("\tLDI  R4, 0")
+	a.l("\tOR   R7, R7")
 	a.l("\tJZ   pxdone")
-	a.l("\tSUB  R0, R5")
-	a.stv("R0", "CXLO")
-	a.l("\tLDI  R2, 0")
-	a.l("\tSBB  R1, R2")
-	a.stv("R1", "CXHI")
+	a.l("\tOR   R2, R2")
+	a.l("\tJZ   pxdone")
+	a.label("pxrow")
+	a.l("\tMOVE R1, R7")
+	a.label("pxcol")
 	a.l("\tLDM  R0, [D1]")
 	a.l("\tSTM  R0, [D2]")
 	a.l("\tADD  D2, R5")
-	// min/max tracking
-	a.ldv("R1", "MINV")
-	a.l("\tCMP  R0, R1")
+	a.l("\tCMP  R0, R3")
 	a.l("\tJNC  pxmax")
-	a.stv("R0", "MINV")
+	a.l("\tMOVE R3, R0")
 	a.label("pxmax")
-	a.ldv("R1", "MAXV")
-	a.l("\tCMP  R1, R0")
+	a.l("\tCMP  R4, R0")
 	a.l("\tJNC  pxnext")
-	a.stv("R0", "MAXV")
+	a.l("\tMOVE R4, R0")
 	a.label("pxnext")
-	a.l("\tJUMP pxloop")
+	a.l("\tSUB  R1, R5")
+	a.l("\tJNZ  pxcol")
+	a.l("\tSUB  R2, R5")
+	a.l("\tJNZ  pxrow")
 	a.label("pxdone")
 	// threshold = (min + max + 1) / 2
-	a.ldv("R0", "MINV")
-	a.ldv("R1", "MAXV")
-	a.l("\tADD  R0, R1")
+	a.l("\tMOVE R0, R3")
+	a.l("\tADD  R0, R4")
 	a.l("\tADD  R0, R5")
 	a.l("\tLSR  R0, R5")
 	a.stv("R0", "THR")

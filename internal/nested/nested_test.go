@@ -295,6 +295,53 @@ func TestPointerWidthALU(t *testing.T) {
 	`, nil)
 }
 
+// TestPointerRegisterForms runs the pointer-register forms MODecode's
+// register-resident loops rely on — a pointer-to-pointer MOVE and ADD,
+// a 24-bit logical shift right, a 24-bit ADD of a data register with
+// wrap-around, and the carry-to-0/1 idiom LDI + ADC — on both CPUs over
+// inputs that set bit 23 and carry across bit 15.
+func TestPointerRegisterForms(t *testing.T) {
+	src := ioPrelude + `
+		LDM  R0, [D0]
+		MOVE D3, R0
+		LDM  R0, [D0]
+		MOVH D3, R0      ; D3 = in0 | (in1&0xFF)<<16
+		LDM  R4, [D0]    ; R4 = in2
+		MOVE D1, D3      ; pointer to pointer
+		ADD  D1, R4      ; 24-bit, wraps at 2^24
+		MOVE R0, D1
+		STM  R0, [D2]
+		LDI  R3, 8
+		LSR  D1, R3      ; logical, 24-bit
+		MOVE R0, D1
+		STM  R0, [D2]
+		ADD  D1, D3      ; pointer + pointer
+		MOVE R0, D1
+		STM  R0, [D2]
+		LDI  R3, 16
+		LSR  D1, R3      ; high byte
+		MOVE R0, D1
+		STM  R0, [D2]
+		MOVE R0, R4
+		CMP  R0, R3      ; C = in2 < 16
+		LDI  R0, 0
+		ADC  R0, R0
+		STM  R0, [D2]
+		OR   R4, R4
+		LDI  R0, 7
+		JZ   zero
+		LDI  R0, 9
+	zero:
+		STM  R0, [D2]
+		HALT
+	`
+	for _, in := range [][]uint16{
+		{0, 0, 0}, {0xFFFF, 0xFF, 1}, {0x8080, 0x80, 0x7F80}, {0xF0FF, 0x12, 0x0180}, {0x1234, 0xFE, 0xFFFF},
+	} {
+		runBoth(t, src, in)
+	}
+}
+
 func TestStepLimitPropagates(t *testing.T) {
 	p := dynarisc.MustAssemble("loop: JUMP loop")
 	_, err := Run(p, nil, 1<<12, 10_000)
