@@ -4,19 +4,22 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// TestCancellationStress cancels archive and restore from outside at
-// random points — before the call, and anywhere across an uncancelled
+// TestCancellationStress cancels archive, restore and the selective and
+// salvage front ends (RestoreRange, RestoreTable, SalvageTo) from outside
+// at random points — before the call, and anywhere across an uncancelled
 // run's duration — at workers 2, 4 and 8. Every call must return in
 // bounded time, either with exactly the uncancelled result or with an
-// error matching context.Canceled, and no goroutine may outlive the
-// calls. A queued archive group whose frame tasks were cut short by the
-// caller's cancel used to leave the placer waiting forever on the group.
+// error matching context.Canceled (and ErrRestore on the restore side),
+// and no goroutine may outlive the calls. A queued archive group whose
+// frame tasks were cut short by the caller's cancel used to leave the
+// placer waiting forever on the group.
 func TestCancellationStress(t *testing.T) {
 	data := testPayload(12000)
 	opts := DefaultOptions(tinyProfile())
@@ -33,6 +36,33 @@ func TestCancellationStress(t *testing.T) {
 	}
 	restoreDur := time.Since(t0)
 
+	// The selective and salvage front ends run on an indexed catalog
+	// volume; their uncancelled results are the references.
+	idx, dump := indexedArchive(t, true)
+	bag := volumeBag(t, idx.Volume)
+	ro := RestoreOptions{Mode: RestoreNative, Workers: 2}
+	t0 = time.Now()
+	if _, _, err := RestoreRange(idx.Volume, idx.BootstrapText, 0, 256, ro); err != nil {
+		t.Fatal(err)
+	}
+	rangeDur := time.Since(t0)
+	t0 = time.Now()
+	table, _, err := RestoreTable(idx.Volume, idx.BootstrapText, "nation", ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableDur := time.Since(t0)
+	t0 = time.Now()
+	if _, err := SalvageTo(io.Discard, bag, SalvageOptions{Mode: RestoreNative, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	salvageDur := time.Since(t0)
+	restoreCancelled := func(op string, workers int, err error) {
+		if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrRestore) {
+			t.Errorf("workers=%d: cancelled %s: %v, want ErrRestore and context.Canceled", workers, op, err)
+		}
+	}
+
 	trials := 6
 	if testing.Short() {
 		trials = 3
@@ -43,10 +73,13 @@ func TestCancellationStress(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			// Trial 0 cancels before the call; the rest at a random point
 			// within (a little past) an uncancelled run.
-			var archAt, restAt time.Duration
+			var archAt, restAt, rangeAt, tableAt, salvageAt time.Duration
 			if trial > 0 {
 				archAt = time.Duration(rng.Int63n(int64(archiveDur) * 5 / 4))
 				restAt = time.Duration(rng.Int63n(int64(restoreDur) * 5 / 4))
+				rangeAt = time.Duration(rng.Int63n(int64(rangeDur) * 5 / 4))
+				tableAt = time.Duration(rng.Int63n(int64(tableDur) * 5 / 4))
+				salvageAt = time.Duration(rng.Int63n(int64(salvageDur) * 5 / 4))
 			}
 
 			cancelAfter(t, archAt, func(ctx context.Context) {
@@ -73,6 +106,37 @@ func TestCancellationStress(t *testing.T) {
 					}
 				case !errors.Is(err, context.Canceled) || !errors.Is(err, ErrRestore):
 					t.Errorf("workers=%d: cancelled restore: %v, want ErrRestore and context.Canceled", workers, err)
+				}
+			})
+
+			cancelAfter(t, rangeAt, func(ctx context.Context) {
+				got, _, err := RestoreRange(idx.Volume, idx.BootstrapText, 0, 256,
+					RestoreOptions{Mode: RestoreNative, Workers: workers, Context: ctx})
+				if err != nil {
+					restoreCancelled("range", workers, err)
+				} else if !bytes.Equal(got, dump[:256]) {
+					t.Errorf("workers=%d: range finished despite cancel but bytes differ", workers)
+				}
+			})
+
+			cancelAfter(t, tableAt, func(ctx context.Context) {
+				got, _, err := RestoreTable(idx.Volume, idx.BootstrapText, "nation",
+					RestoreOptions{Mode: RestoreNative, Workers: workers, Context: ctx})
+				if err != nil {
+					restoreCancelled("table", workers, err)
+				} else if !bytes.Equal(got, table) {
+					t.Errorf("workers=%d: table finished despite cancel but bytes differ", workers)
+				}
+			})
+
+			cancelAfter(t, salvageAt, func(ctx context.Context) {
+				var buf bytes.Buffer
+				_, err := SalvageTo(&buf, bag,
+					SalvageOptions{Mode: RestoreNative, Workers: workers, Context: ctx})
+				if err != nil {
+					restoreCancelled("salvage", workers, err)
+				} else if !bytes.Equal(buf.Bytes(), dump) {
+					t.Errorf("workers=%d: salvage finished despite cancel but bytes differ", workers)
 				}
 			})
 		}

@@ -2,17 +2,17 @@ package core
 
 import (
 	"bytes"
-	"io"
 
 	"microlonys/media"
 )
 
-// Engine is a reusable restore pipeline: it owns the per-worker scan
-// scratch (full-resolution scan buffers, decoder tables, emulator state)
-// that RestoreToWriter otherwise allocates per call, so a caller running
-// many restores back to back — the damage-campaign harness runs thousands
-// of trial restores per sweep — pays the buffers once per worker instead
-// of once per restore. An Engine is not safe for concurrent use; create
+// Engine is the restore pipeline: its methods implement every restore
+// operation (the one-shot entry points run a fresh Engine per call), and
+// it owns the per-worker scan scratch (full-resolution scan buffers,
+// decoder tables, emulator state) they reuse, so a caller running many
+// restores back to back — the damage-campaign harness runs thousands of
+// trial restores per sweep — pays the buffers once per worker instead of
+// once per restore. An Engine is not safe for concurrent use; create
 // one per goroutine (the campaign runner keeps one per trial worker).
 type Engine struct {
 	workers int
@@ -29,15 +29,6 @@ func NewEngine(workers int) *Engine {
 
 // Workers returns the engine's resolved worker count.
 func (e *Engine) Workers() int { return e.workers }
-
-// RestoreToWriter is core.RestoreToWriter through the engine's reused
-// scratch. The options' Workers field is overridden by the engine's pool
-// size; results are byte-identical to the one-shot entry points at any
-// worker count.
-func (e *Engine) RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
-	ro.Workers = e.workers
-	return restoreToWriter(w, v, bootstrapText, ro, e.scratch)
-}
 
 // RestoreVolume is core.RestoreVolume through the engine's reused scratch.
 func (e *Engine) RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {

@@ -38,10 +38,10 @@ func resolveWorkers(n, live int) int {
 // frontier replays out-of-order completions in strict index order: the
 // parallel stage reports indices as they finish, drain walks the
 // contiguous prefix exactly once per index. It is the ordering half of
-// the pipelines' serial tail stages — the restore consumer feeds the
-// group assembler through one, and the archive placer is its
-// group-granular analogue (the planner emits groups in order, so the
-// placer's frontier is the channel itself).
+// the pipelines' serial tail stages — the restore decode stage
+// (decodeFrames) feeds its consumer through one, and the archive placer
+// is its group-granular analogue (the planner emits groups in order, so
+// the placer's frontier is the channel itself).
 type frontier struct {
 	ready []bool
 	next  int

@@ -62,12 +62,7 @@ func RestoreWithOptions(m *media.Medium, bootstrapText string, ro RestoreOptions
 // RestoreVolume restores a multi-sheet volume into memory: RestoreToWriter
 // over a bytes.Buffer.
 func RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	var buf bytes.Buffer
-	st, err := RestoreToWriter(&buf, v, bootstrapText, ro)
-	if err != nil {
-		return nil, st, err
-	}
-	return buf.Bytes(), st, nil
+	return NewEngine(ro.Workers).RestoreVolume(v, bootstrapText, ro)
 }
 
 // RestoreToWriter runs the restoration pipeline against a volume and the
@@ -76,15 +71,14 @@ func RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]
 // accumulate only the (small) compressed stream before DBDecode runs. On
 // error, w may already have received a prefix of the output.
 func RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
-	return restoreToWriter(w, v, bootstrapText, ro, make([]scanScratch, resolveWorkers(ro.Workers, v.FrameCount())))
+	return NewEngine(ro.Workers).RestoreToWriter(w, v, bootstrapText, ro)
 }
 
-// restoreToWriter is RestoreToWriter over caller-owned per-worker scratch
-// (len(scratch) must be at least the resolved worker count): the one-shot entry
-// points allocate fresh scratch per call, an Engine reuses its scratch
-// across calls so a campaign of thousands of trial restores pays the scan
-// buffers and decoder tables once per worker, not once per trial.
-func restoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions, scratch []scanScratch) (*RestoreStats, error) {
+// RestoreToWriter is core.RestoreToWriter through the engine's reused
+// scratch. The options' Workers field is overridden by the engine's pool
+// size; results are byte-identical to the one-shot entry points at any
+// worker count.
+func (e *Engine) RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
 	doc, err := bootstrap.Parse(bootstrapText)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRestore, err)
@@ -93,11 +87,9 @@ func restoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro Rest
 	capacity := mocoder.Capacity(layout)
 	st := &RestoreStats{Mode: ro.Mode, Sheets: make([]SheetReport, v.Sheets())}
 
-	var moProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			return st, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
-		}
+	dec, err := newFrameDecoder(doc, ro.Mode)
+	if err != nil {
+		return st, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
 	}
 
 	n := v.FrameCount()
@@ -106,30 +98,22 @@ func restoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro Rest
 	}
 
 	// Global frame index → sheet, for per-sheet stats and loss reports.
-	sheetOf := make([]int, n)
-	for s, i := 0, 0; s < v.Sheets(); s++ {
-		m, _ := v.Sheet(s)
-		for j := 0; j < m.FrameCount(); j++ {
-			sheetOf[i] = s
-			i++
-		}
-	}
-
 	// Reserved-slot volumes (declared by the Bootstrap's catalog=1 /
 	// index=1): the leading frames of every sheet are out-of-band catalog
 	// and index emblems the group assembler must treat as no group's
 	// members — their loss is not a data loss.
+	sheetOf := make([]int, n)
 	var catSlot []bool
-	if reserved := boolInt(doc.Catalog) + boolInt(doc.Index); reserved > 0 {
+	reserved := boolInt(doc.Catalog) + boolInt(doc.Index)
+	if reserved > 0 {
 		catSlot = make([]bool, n)
-		for s := 0; s < v.Sheets(); s++ {
-			m, _ := v.Sheet(s)
-			if m == nil || m.FrameCount() == 0 {
-				continue
-			}
-			start, _ := v.SheetStart(s)
-			for j := 0; j < reserved && j < m.FrameCount(); j++ {
-				catSlot[start+j] = true
+	}
+	for s, i := 0, 0; s < v.Sheets(); s++ {
+		m, _ := v.Sheet(s)
+		for j := 0; j < m.FrameCount(); j, i = j+1, i+1 {
+			sheetOf[i] = s
+			if j < reserved {
+				catSlot[i] = true
 			}
 		}
 	}
@@ -146,18 +130,75 @@ func restoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro Rest
 		zeros:       make([]byte, capacity),
 		lastClosed:  -1,
 	}
+	err = dec.decodeFrames(orBackground(ro.Context), e.workers, e.scratch, n, volumeScan(v, nil), asm.consume)
+	if err == nil {
+		err = asm.finish()
+	}
+	if err != nil {
+		return st, err
+	}
+	return st, decompressTail(w, asm, ro.Mode)
+}
 
-	// Stages 1+2 feed stage 3 incrementally: workers scan and decode
-	// frames in any order; the consumer goroutine drains an ordered
-	// frontier, handing each frame to the group assembler in strict index
-	// order and releasing its payload. The completion channel is sized so
-	// workers never block on a momentarily busy consumer: twice the live
-	// pool plus one group of slack.
-	workers := resolveWorkers(ro.Workers, n)
+// frameDecoder is the decode stage: it turns a frame scan into header and
+// payload under the restore mode — natively, or by running the archived
+// MODecode program (moProg) under emulation.
+type frameDecoder struct {
+	layout emblem.Layout
+	mode   Mode
+	moProg *dynarisc.Program
+}
+
+// newFrameDecoder configures the decode stage from the Bootstrap
+// document, loading its MODecode program for the emulated modes.
+func newFrameDecoder(doc *bootstrap.Document, mode Mode) (frameDecoder, error) {
+	d := frameDecoder{layout: doc.Layout, mode: mode}
+	if mode == RestoreNative {
+		return d, nil
+	}
+	var err error
+	d.moProg, err = doc.MODecodeProgram()
+	return d, err
+}
+
+// decodeFrame decodes one frame scan through the worker's scratch. A frame
+// that fails to decode is reported in the result, not as an error — that
+// is what the outer code is for.
+func (d frameDecoder) decodeFrame(sc *scanScratch, scan *raster.Gray) frameResult {
+	res := frameResult{scanned: true}
+	var err error
+	if d.mode == RestoreNative {
+		var stats *mocoder.Stats
+		res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, d.layout)
+		if stats != nil {
+			res.corrected = stats.BytesCorrected
+		}
+	} else {
+		res.payload, res.hdr, err = decodeFrameEmulated(sc, d.moProg, scan, d.layout, d.mode)
+	}
+	res.decoded = err == nil
+	return res
+}
+
+// decodeFrames is the restore pipelines' streaming scan+decode stage over
+// a plan of n frames. Workers scan (scan(sc, i) renders plan item i) and
+// decode frames in any order; a consumer goroutine drains an ordered
+// frontier, handing each frame to consume in strict plan order and then
+// releasing its payload, so the serial stage that follows overlaps the
+// fan-out. scan's error aborts the run; a nil scan with no error is an
+// unreadable frame, delivered as not scanned. consume's error cancels the
+// frames still queued and takes precedence; any other failure is returned
+// wrapping ErrRestore — cancellation as both ErrRestore and the context's
+// error.
+func (d frameDecoder) decodeFrames(ctx context.Context, workers int, scratch []scanScratch, n int,
+	scan func(sc *scanScratch, i int) (*raster.Gray, error), consume func(i int, res *frameResult) error) error {
+	workers = resolveWorkers(workers, n)
 	results := make([]frameResult, n)
-	completed := make(chan int, 2*workers+doc.GroupData+doc.GroupParity)
+	// Sized so workers never block on a momentarily busy consumer: twice
+	// the live pool plus one group of slack.
+	completed := make(chan int, 2*workers+mocoder.GroupData+mocoder.GroupParity)
 
-	ctx, cancel := context.WithCancel(orBackground(ro.Context))
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	consumerErr := make(chan error, 1)
@@ -168,95 +209,100 @@ func restoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro Rest
 			fr.complete(i)
 			fr.drain(func(i int) {
 				if cerr == nil {
-					if cerr = asm.consume(i, &results[i]); cerr != nil {
-						cancel() // stop decoding frames the assembler will never use
+					if cerr = consume(i, &results[i]); cerr != nil {
+						cancel() // stop decoding frames the consumer will never use
 					}
 				}
 				results[i] = frameResult{} // release the payload
 			})
 		}
-		if cerr == nil && fr.done() { // decode completed; close the books
-			cerr = asm.finish()
-		}
 		consumerErr <- cerr
 	}()
 
-	decErr := forEachFrame(ctx, ro.Workers, n, func(_ context.Context, worker, i int) error {
+	decErr := forEachFrame(ctx, workers, n, func(_ context.Context, worker, i int) error {
 		sc := &scratch[worker]
-		scan, err := v.ScanFrameInto(&sc.scan, i)
+		img, err := scan(sc, i)
 		if err != nil {
-			return fmt.Errorf("%w: scanning frame %d: %w", ErrRestore, i, err)
+			return err
 		}
-		res := &results[i]
-		res.scanned = true
-		switch ro.Mode {
-		case RestoreNative:
-			var stats *mocoder.Stats
-			res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, layout)
-			if stats != nil {
-				res.corrected = stats.BytesCorrected
-			}
-		default:
-			res.payload, res.hdr, err = decodeFrameEmulated(sc, moProg, scan, layout, ro.Mode)
+		if img != nil {
+			results[i] = d.decodeFrame(sc, img)
 		}
-		res.decoded = err == nil
 		completed <- i
 		return nil
 	})
 	close(completed)
-	cerr := <-consumerErr
-	if cerr != nil {
-		return st, cerr
+	if cerr := <-consumerErr; cerr != nil {
+		return cerr
 	}
-	if decErr != nil {
-		if errors.Is(decErr, ErrRestore) {
-			return st, decErr
+	if decErr != nil && !errors.Is(decErr, ErrRestore) {
+		return fmt.Errorf("%w: %w", ErrRestore, decErr)
+	}
+	return decErr
+}
+
+// volumeScan is decodeFrames' scan step over a volume: plan item i is
+// global frame plan[i] (frame i itself when plan is nil). A frame that
+// cannot even be scanned aborts the restore.
+func volumeScan(v *media.Volume, plan []int) func(sc *scanScratch, i int) (*raster.Gray, error) {
+	return func(sc *scanScratch, i int) (*raster.Gray, error) {
+		if plan != nil {
+			i = plan[i]
 		}
-		// Cancellation (or another pipeline error outside the restore
-		// domain): wrap so callers can match either ErrRestore or the
-		// context's error.
-		return st, fmt.Errorf("%w: %w", ErrRestore, decErr)
+		scan, err := v.ScanFrameInto(&sc.scan, i)
+		if err != nil {
+			return nil, fmt.Errorf("%w: scanning frame %d: %w", ErrRestore, i, err)
+		}
+		return scan, nil
 	}
-	return st, decompressTail(w, asm, ro.Mode)
 }
 
 // decompressTail finishes a restore once every group has flushed: raw
 // archives already streamed to w, compressed archives decompress the
-// assembled stream — natively or by executing the archived DBDecode
-// program from the system emblems. Shared between restore and salvage.
+// assembled stream. Shared between restore and salvage.
 func decompressTail(w io.Writer, asm *assembler, mode Mode) error {
 	// The raw section streamed directly to w as its groups closed.
 	if asm.sinks[emblem.KindRaw] != nil {
 		return nil
 	}
-
 	if asm.dataBuf == nil {
 		return fmt.Errorf("%w: no data stream recovered", ErrRestore)
 	}
-	blob := asm.dataBuf.Bytes()
-	var out []byte
-	var err error
-	switch mode {
-	case RestoreNative:
-		if out, err = dbcoder.Decompress(blob); err != nil {
-			return fmt.Errorf("%w: %w", ErrRestore, err)
-		}
-	default:
-		if asm.sysBuf == nil {
-			return fmt.Errorf("%w: system emblems (DBDecode) missing", ErrRestore)
-		}
-		dbProg, err := bootstrap.UnmarshalDynaRisc(asm.sysBuf.Bytes())
-		if err != nil {
-			return fmt.Errorf("%w: system emblem payload: %w", ErrRestore, err)
-		}
-		if out, err = emulatedDecompress(dbProg, blob, mode); err != nil {
-			return err
-		}
+	decompress, err := decompressor(mode, asm.sysBuf)
+	if err != nil {
+		return err
+	}
+	out, err := decompress(asm.dataBuf.Bytes())
+	if err != nil {
+		return err
 	}
 	if _, err := w.Write(out); err != nil {
 		return fmt.Errorf("%w: writing output: %w", ErrRestore, err)
 	}
 	return nil
+}
+
+// decompressor returns the DBCoder stream decompressor for mode: the
+// native decoder, or the archived DBDecode program reassembled from the
+// system section (sys) run under emulation.
+func decompressor(mode Mode, sys *bytes.Buffer) (func(blob []byte) ([]byte, error), error) {
+	if mode == RestoreNative {
+		return func(blob []byte) ([]byte, error) {
+			out, err := dbcoder.Decompress(blob)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
+			}
+			return out, nil
+		}, nil
+	}
+	if sys == nil {
+		return nil, fmt.Errorf("%w: system emblems (DBDecode) missing", ErrRestore)
+	}
+	dbProg, err := bootstrap.UnmarshalDynaRisc(sys.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("%w: system emblem payload: %w", ErrRestore, err)
+	}
+	return func(blob []byte) ([]byte, error) { return emulatedDecompress(dbProg, blob, mode) }, nil
 }
 
 // kindSink accumulates one section's recovered stream, trimming at the
@@ -371,82 +417,64 @@ func (a *assembler) consume(i int, res *frameResult) error {
 		return nil
 	}
 
-	if a.cur.known {
-		end := a.cur.start + a.cur.data + a.cur.parity
-		if ok {
-			pos := i - a.cur.start
-			if int(res.hdr.GroupID) != a.cur.id || int(res.hdr.GroupPos) != pos {
-				// Header disagrees with the group's placement: the frame
-				// decoded but contributes nothing — count it failed so
-				// the loss arithmetic stays consistent.
+	if !a.cur.known {
+		// A decoded frame opens (and locates) a new group. A failed frame —
+		// or a decoded one whose header cannot describe a group, counted
+		// failed — extends the run of frames no group has claimed.
+		start := i - int(res.hdr.GroupPos)
+		size := int(res.hdr.GroupData) + int(res.hdr.GroupParity)
+		if !ok || res.hdr.GroupData == 0 || start < 0 || i >= start+size {
+			if ok {
 				a.st.FramesFailed++
 				sh.FramesFailed++
-			} else {
-				padded := make([]byte, a.capacity)
-				copy(padded, res.payload)
-				a.cur.members[pos] = padded
-				if res.hdr.Kind != emblem.KindParity {
-					a.cur.kind = res.hdr.Kind
-					a.cur.total = res.hdr.TotalLen
+			}
+			if a.runLen == 0 {
+				a.runStart = i
+			}
+			a.runLen++
+			return nil
+		}
+		if a.runLen > 0 {
+			if a.runStart < start {
+				// Failed frames before this group's start belong to groups no
+				// surviving frame identifies — carrier loss beyond the outer code.
+				if err := a.lostRange(a.runStart, start-a.runStart, int(res.hdr.GroupID)); err != nil {
+					return err
 				}
 			}
+			// Failed frames inside [start, i) are this group's missing members;
+			// closeGroup counts them as size - len(members).
+			a.runLen = 0
 		}
-		if i == end-1 {
-			return a.closeGroup()
-		}
-		return nil
+		a.cur.known = true
+		a.cur.id = int(res.hdr.GroupID)
+		a.cur.start = start
+		a.cur.data = int(res.hdr.GroupData)
+		a.cur.parity = int(res.hdr.GroupParity)
+		a.cur.kind = 0
+		a.cur.total = 0
+		a.cur.members = map[int][]byte{}
 	}
 
-	if !ok {
-		if a.runLen == 0 {
-			a.runStart = i
-		}
-		a.runLen++
-		return nil
-	}
-
-	// A decoded frame opens (and locates) a new group.
-	start := i - int(res.hdr.GroupPos)
-	size := int(res.hdr.GroupData) + int(res.hdr.GroupParity)
-	if res.hdr.GroupData == 0 || start < 0 || i >= start+size {
-		// A header that cannot describe a group; treat the frame as failed.
-		a.st.FramesFailed++
-		sh.FramesFailed++
-		if a.runLen == 0 {
-			a.runStart = i
-		}
-		a.runLen++
-		return nil
-	}
-	if a.runLen > 0 {
-		if a.runStart < start {
-			// Failed frames before this group's start belong to groups no
-			// surviving frame identifies — carrier loss beyond the outer code.
-			if err := a.lostRange(a.runStart, start-a.runStart, int(res.hdr.GroupID)); err != nil {
-				return err
+	if ok {
+		pos := i - a.cur.start
+		if int(res.hdr.GroupID) != a.cur.id || int(res.hdr.GroupPos) != pos {
+			// Header disagrees with the group's placement: the frame
+			// decoded but contributes nothing — count it failed so the
+			// loss arithmetic stays consistent.
+			a.st.FramesFailed++
+			sh.FramesFailed++
+		} else {
+			padded := make([]byte, a.capacity)
+			copy(padded, res.payload)
+			a.cur.members[pos] = padded
+			if res.hdr.Kind != emblem.KindParity {
+				a.cur.kind = res.hdr.Kind
+				a.cur.total = res.hdr.TotalLen
 			}
 		}
-		// Failed frames inside [start, i) are this group's missing members;
-		// closeGroup counts them as size - len(members).
-		a.runLen = 0
 	}
-	a.cur.known = true
-	a.cur.id = int(res.hdr.GroupID)
-	a.cur.start = start
-	a.cur.data = int(res.hdr.GroupData)
-	a.cur.parity = int(res.hdr.GroupParity)
-	a.cur.kind = 0
-	a.cur.total = 0
-	a.cur.members = map[int][]byte{}
-	pos := i - start
-	padded := make([]byte, a.capacity)
-	copy(padded, res.payload)
-	a.cur.members[pos] = padded
-	if res.hdr.Kind != emblem.KindParity {
-		a.cur.kind = res.hdr.Kind
-		a.cur.total = res.hdr.TotalLen
-	}
-	if i == start+size-1 {
+	if i == a.cur.start+a.cur.data+a.cur.parity-1 {
 		return a.closeGroup()
 	}
 	return nil
@@ -496,17 +524,27 @@ func (a *assembler) closeGroup() error {
 	for pos, p := range a.cur.members {
 		full[pos] = p
 	}
-	if missing > 0 {
+	return a.recoverGroup(full, a.cur.data, &rep, sh, sink)
+}
+
+// recoverGroup is the group-close step full and selective restore share.
+// It runs the outer code over a group's members (full, data positions
+// first) when any are missing, applies the Partial or strict policy to a
+// group beyond parity, verifies the recovered data against the catalog's
+// group checksum when sums are present, and writes the data — zero-filled
+// when lost — to sink. rep, sh and the run's stats receive the outcome.
+func (a *assembler) recoverGroup(full [][]byte, data int, rep *GroupReport, sh *SheetReport, sink *kindSink) error {
+	if rep.Missing > 0 {
 		if err := mocoder.RecoverGroup(full); err != nil {
 			if !a.partial {
-				return fmt.Errorf("%w: group %d: %w", ErrRestore, a.cur.id, err)
+				return fmt.Errorf("%w: group %d: %w", ErrRestore, rep.ID, err)
 			}
 			// Beyond parity: zero-fill the group's data bytes so every
 			// later group's output offset stays where the archive put it.
 			rep.Lost = true
 			a.st.GroupsLost++
 			sh.GroupsLost++
-			for pos := 0; pos < a.cur.data; pos++ {
+			for pos := 0; pos < data; pos++ {
 				n, err := sink.write(a.zeros)
 				if err != nil {
 					return err
@@ -524,19 +562,19 @@ func (a *assembler) closeGroup() error {
 	// what was archived (silent corruption the outer code missed): fatal
 	// normally, counted — and still written, they are the best available —
 	// in Partial mode.
-	if a.cur.id < len(a.sums) {
-		if catalog.GroupCRC(full[:a.cur.data]) == a.sums[a.cur.id].CRC {
+	if rep.ID < len(a.sums) {
+		if catalog.GroupCRC(full[:data]) == a.sums[rep.ID].CRC {
 			rep.Verified = true
 			a.st.GroupsVerified++
 		} else {
 			if !a.partial {
-				return fmt.Errorf("%w: group %d contradicts its catalog checksum", ErrRestore, a.cur.id)
+				return fmt.Errorf("%w: group %d contradicts its catalog checksum", ErrRestore, rep.ID)
 			}
 			rep.Mismatched = true
 			a.st.GroupsMismatched++
 		}
 	}
-	for pos := 0; pos < a.cur.data; pos++ {
+	for pos := 0; pos < data; pos++ {
 		if _, err := sink.write(full[pos]); err != nil {
 			return err
 		}
@@ -726,24 +764,20 @@ func (a *assembler) sink(k emblem.Kind) *kindSink {
 // recovery instructions direct a future user to. The concatenated output
 // is verified against the container's whole-stream length and checksum.
 func emulatedDecompress(dbProg *dynarisc.Program, blob []byte, mode Mode) ([]byte, error) {
-	var out []byte
+	blocks := []dbcoder.SeekBlock{{CompLen: len(blob)}} // a standalone archive is one block
 	if dbcoder.IsSeekable(blob) {
-		blocks, err := dbcoder.SeekTable(blob)
+		var err error
+		if blocks, err = dbcoder.SeekTable(blob); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
+		}
+	}
+	var out []byte
+	for _, b := range blocks {
+		part, err := runDBDecode(dbProg, blob[b.CompOff:b.CompOff+b.CompLen], mode)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 		}
-		for _, b := range blocks {
-			part, err := runDBDecode(dbProg, blob[b.CompOff:b.CompOff+b.CompLen], mode)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-			}
-			out = append(out, part...)
-		}
-	} else {
-		var err error
-		if out, err = runDBDecode(dbProg, blob, mode); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-		}
+		out = append(out, part...)
 	}
 	// The archived decoder skips the trailing CRC; check its output
 	// against the length and checksum in the archive header — a mismatch
@@ -859,9 +893,7 @@ func decodeFrameEmulated(sc *scanScratch, prog *dynarisc.Program, scan *raster.G
 		return nil, emblem.Header{}, errors.New("core: MODecode produced no output (damaged frame)")
 	}
 
-	// MODecode emits the payload; recover the header from a native parse
-	// of the same scan's header block is not available here, so MODecode
-	// convention: the payload is prefixed by the 22-byte voted header.
+	// MODecode emits the 22-byte voted header, then the payload.
 	if len(outBytes) < emblem.HeaderSize {
 		return nil, emblem.Header{}, errors.New("core: emulated payload too short")
 	}

@@ -7,11 +7,11 @@ import (
 	"io"
 	"sort"
 
-	"microlonys/dynarisc"
 	"microlonys/internal/catalog"
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
 	"microlonys/media"
+	"microlonys/raster"
 )
 
 // Salvage is the disaster-path restore: the future user holds an
@@ -89,19 +89,7 @@ func Salvage(sheets []*media.Medium, opts SalvageOptions) ([]byte, *SalvageRepor
 // output; the report — returned alongside most errors — still carries
 // the identification ledger.
 func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
-	n := 0
-	for _, m := range sheets {
-		if m != nil {
-			n += m.FrameCount()
-		}
-	}
-	return salvageToWriter(w, sheets, opts, make([]scanScratch, resolveWorkers(opts.Workers, n)))
-}
-
-// SalvageTo is core.SalvageTo through the engine's reused scratch.
-func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
-	opts.Workers = e.workers
-	return salvageToWriter(w, sheets, opts, e.scratch)
+	return NewEngine(opts.Workers).SalvageTo(w, sheets, opts)
 }
 
 // bagFrame addresses one frame of the presented bag.
@@ -111,16 +99,17 @@ type bagFrame struct {
 
 // bagSheet is one presented sheet's identification state.
 type bagSheet struct {
-	present int               // position in the bag
-	frames  int               // frames on the sheet
-	decoded int               // frames that decoded (any kind)
-	cat     *catalog.Catalog  // the sheet's own catalog, when readable
-	offset  int               // planner offset v: frame at local j holds global planner index v+j
+	present int              // position in the bag
+	frames  int              // frames on the sheet
+	decoded int              // frames that decoded (any kind)
+	cat     *catalog.Catalog // the sheet's own catalog, when readable
+	offset  int              // planner offset v: frame at local j holds global planner index v+j
 	hasOff  bool
 	ordinal int // original sheet ordinal; -1 unknown
 }
 
-func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, scratch []scanScratch) (*SalvageReport, error) {
+// SalvageTo is core.SalvageTo through the engine's reused scratch.
+func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
 	rep := &SalvageReport{SheetsPresented: len(sheets)}
 	ctx := orBackground(opts.Context)
 
@@ -150,26 +139,21 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 	// restated in every catalog frame), so no bootstrap is needed to read
 	// headers. A frame that fails to scan or decode is damage to recover
 	// from, never an abort.
-	results := make([]frameResult, len(frames))
-	decErr := forEachFrame(ctx, opts.Workers, len(frames), func(_ context.Context, worker, i int) error {
-		sc := &scratch[worker]
-		m := sheets[frames[i].sheet]
-		scan, err := m.ScanFrameInto(&sc.scan, frames[i].local)
+	scanBag := func(sc *scanScratch, i int) (*raster.Gray, error) {
+		scan, err := sheets[frames[i].sheet].ScanFrameInto(&sc.scan, frames[i].local)
 		if err != nil {
-			return nil // unreadable frame, not a pipeline failure
+			return nil, nil // unreadable frame, not a pipeline failure
 		}
-		res := &results[i]
-		res.scanned = true
-		var stats *mocoder.Stats
-		res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, layout)
-		if stats != nil {
-			res.corrected = stats.BytesCorrected
-		}
-		res.decoded = err == nil
+		return scan, nil
+	}
+	results := make([]frameResult, len(frames))
+	keep := func(i int, res *frameResult) error {
+		results[i] = *res
 		return nil
-	})
-	if decErr != nil {
-		return rep, fmt.Errorf("%w: %w", ErrRestore, decErr)
+	}
+	native := frameDecoder{layout: layout, mode: RestoreNative}
+	if err := native.decodeFrames(ctx, e.workers, e.scratch, len(frames), scanBag, keep); err != nil {
+		return rep, err
 	}
 
 	// Per-sheet identification: parse catalogs, vote planner offsets.
@@ -244,7 +228,6 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 
 	// Emulated modes decode through the archived programs; with no
 	// bootstrap text the only source is the catalog replica.
-	var moProg *dynarisc.Program
 	if opts.Mode != RestoreNative {
 		if best == nil {
 			return rep, fmt.Errorf("%w: emulated salvage needs a catalog bootstrap replica and no catalog was readable", ErrRestore)
@@ -255,36 +238,29 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 		}
 		rep.BootstrapRecovered = true
 		rep.BootstrapFromCatalog = true
-		if moProg, err = doc.MODecodeProgram(); err != nil {
+		dec := frameDecoder{layout: layout, mode: opts.Mode}
+		if dec.moProg, err = doc.MODecodeProgram(); err != nil {
 			return rep, fmt.Errorf("%w: catalog replica MODecode: %w", ErrRestore, err)
 		}
-		// Re-decode the kept sheets' frames through the recovered program:
-		// the restore path the future user would actually run.
+		// Re-decode the kept sheets' scanned frames through the recovered
+		// program: the restore path the future user would actually run.
 		// Identification keeps the native pass's placement (the headers
 		// agree); discarded duplicate sheets are not decoded twice.
 		keptPresent := map[int]bool{}
 		for _, ks := range kept {
 			keptPresent[ks.present] = true
 		}
-		redoErr := forEachFrame(ctx, opts.Workers, len(frames), func(_ context.Context, worker, i int) error {
-			res := &results[i]
-			if !res.scanned || !keptPresent[frames[i].sheet] {
-				return nil
+		var redo []int
+		for i := range results {
+			if results[i].scanned && keptPresent[frames[i].sheet] {
+				redo = append(redo, i)
 			}
-			sc := &scratch[worker]
-			m := sheets[frames[i].sheet]
-			scan, err := m.ScanFrameInto(&sc.scan, frames[i].local)
-			if err != nil {
-				res.scanned, res.decoded = false, false
-				return nil
-			}
-			res.payload, res.hdr, err = decodeFrameEmulated(sc, moProg, scan, layout, opts.Mode)
-			res.decoded = err == nil
-			res.corrected = 0
-			return nil
-		})
-		if redoErr != nil {
-			return rep, fmt.Errorf("%w: %w", ErrRestore, redoErr)
+		}
+		err = dec.decodeFrames(ctx, e.workers, e.scratch, len(redo),
+			func(sc *scanScratch, k int) (*raster.Gray, error) { return scanBag(sc, redo[k]) },
+			func(k int, res *frameResult) error { return keep(redo[k], res) })
+		if err != nil {
+			return rep, err
 		}
 		planner = placeFrames(kept, frames, results, sheets, reserved, &nTotal)
 	} else if best != nil {
@@ -561,8 +537,7 @@ func placeFrames(kept []*bagSheet, frames []bagFrame, results []frameResult, she
 		if planner[pi].decoded && !res.decoded {
 			continue // never let a failed frame shadow a decoded one
 		}
-		planner[pi] = frameResult{scanned: res.scanned, decoded: res.decoded,
-			hdr: res.hdr, payload: res.payload, corrected: res.corrected}
+		planner[pi] = *res
 	}
 	return planner
 }

@@ -2,12 +2,11 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
-	"microlonys/dynarisc"
 	"microlonys/internal/archindex"
 	"microlonys/internal/bootstrap"
 	"microlonys/internal/catalog"
@@ -29,10 +28,10 @@ import (
 //	          requested raw range onto the archived stream (directly for
 //	          raw archives, through the DBS1 restart-block table for
 //	          compressed ones)
-//	decode:   scan and decode only the overlapping groups' frames — whole
-//	          sheets outside the query never see a ScanFrameInto call —
-//	          then assemble each group with the same outer-code arithmetic
-//	          a full restore uses
+//	decode:   scan and decode only the overlapping groups' frames through
+//	          the restore's one decode stage — whole sheets outside the
+//	          query never see a ScanFrameInto call — closing each group
+//	          through the full restore's group-close step
 //	finish:   decompress only the overlapping restart blocks and trim to
 //	          the exact byte range
 //
@@ -53,13 +52,7 @@ var errIndexGeometry = errors.New("core: index geometry contradicts the volume")
 // touches. The bytes are identical to the same slice of a full Restore.
 // Volumes without a usable index fall back to a full restore.
 func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return restoreRange(v, bootstrapText, off, length, ro, make([]scanScratch, resolveWorkers(ro.Workers, v.FrameCount())))
-}
-
-// RestoreRange is core.RestoreRange through the engine's reused scratch.
-func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	ro.Workers = e.workers
-	return restoreRange(v, bootstrapText, off, length, ro, e.scratch)
+	return NewEngine(ro.Workers).RestoreRange(v, bootstrapText, off, length, ro)
 }
 
 // RestoreSection restores one named section of the archive — a SQL-dump
@@ -68,13 +61,7 @@ func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length
 // contiguous cover: the owning table's whole rows region. Names the index
 // cannot resolve fall back to a full restore and are located there.
 func RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return restoreSection(v, bootstrapText, name, ro, make([]scanScratch, resolveWorkers(ro.Workers, v.FrameCount())))
-}
-
-// RestoreSection is core.RestoreSection through the engine's reused scratch.
-func (e *Engine) RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	ro.Workers = e.workers
-	return restoreSection(v, bootstrapText, name, ro, e.scratch)
+	return NewEngine(ro.Workers).RestoreSection(v, bootstrapText, name, ro)
 }
 
 // RestoreTable restores one SQL-dump table's rows region by name. It is
@@ -93,26 +80,15 @@ func (e *Engine) RestoreTable(v *media.Volume, bootstrapText, table string, ro R
 // any payload group. There is no full-restore fallback: a volume with no
 // readable index reports ErrRestore.
 func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
-	return listIndex(v, bootstrapText, ro, make([]scanScratch, 1))
+	return NewEngine(ro.Workers).ListIndex(v, bootstrapText, ro)
 }
 
-// ListIndex is core.ListIndex through the engine's reused scratch.
-func (e *Engine) ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
-	ro.Workers = e.workers
-	return listIndex(v, bootstrapText, ro, e.scratch)
-}
-
-func restoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
-	doc, err := bootstrap.Parse(bootstrapText)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
-	}
+// RestoreRange is core.RestoreRange through the engine's reused scratch.
+func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
 	if off < 0 || length < 0 {
 		return nil, nil, fmt.Errorf("%w: negative range %d:%d", ErrRestore, off, length)
 	}
-	st := newSelectStats(v, ro)
-	ctx := orBackground(ro.Context)
-	x, err := readIndex(ctx, v, doc, ro, scratch, st)
+	doc, x, st, err := e.readIndex(v, bootstrapText, ro)
 	if err != nil {
 		return nil, st, err
 	}
@@ -120,52 +96,54 @@ func restoreRange(v *media.Volume, bootstrapText string, off, length int, ro Res
 		if off+length > x.RawLen {
 			return nil, st, fmt.Errorf("%w: range %d:%d beyond archive of %d bytes", ErrRestore, off, length, x.RawLen)
 		}
-		out, err := selectiveRange(ctx, v, doc, x, off, length, ro, scratch, st)
-		if err == nil {
-			return out, st, nil
-		}
+		out, err := e.selectiveRange(v, doc, x, off, length, ro, st)
 		if !errors.Is(err, errIndexGeometry) {
-			return nil, st, err
+			return out, st, err
 		}
 	}
-	return rangeFallback(v, bootstrapText, off, length, ro, scratch)
+	return e.fallback(v, bootstrapText, ro, func(data []byte) ([]byte, error) {
+		if off+length > len(data) {
+			return nil, fmt.Errorf("%w: range %d:%d beyond archive of %d bytes", ErrRestore, off, length, len(data))
+		}
+		return data[off : off+length], nil
+	})
 }
 
-func restoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
-	doc, err := bootstrap.Parse(bootstrapText)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
-	}
-	st := newSelectStats(v, ro)
-	ctx := orBackground(ro.Context)
-	x, err := readIndex(ctx, v, doc, ro, scratch, st)
+// RestoreSection is core.RestoreSection through the engine's reused scratch.
+func (e *Engine) RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	doc, x, st, err := e.readIndex(v, bootstrapText, ro)
 	if err != nil {
 		return nil, st, err
 	}
 	if x != nil {
 		if sec, ok := x.Lookup(name); ok {
-			out, err := selectiveRange(ctx, v, doc, x, sec.Off, sec.Len, ro, scratch, st)
-			if err == nil {
-				return out, st, nil
-			}
+			out, err := e.selectiveRange(v, doc, x, sec.Off, sec.Len, ro, st)
 			if !errors.Is(err, errIndexGeometry) {
-				return nil, st, err
+				return out, st, err
 			}
 		}
 		// A trimmed section table, an unknown name or a geometry
 		// contradiction: the full restore resolves all three (and is the
 		// arbiter of whether the name exists at all).
 	}
-	return sectionFallback(v, bootstrapText, name, ro, scratch)
+	return e.fallback(v, bootstrapText, ro, func(data []byte) ([]byte, error) {
+		secs, err := sqldump.Sections(data)
+		if err != nil {
+			return nil, fmt.Errorf("%w: locating %q: %w", ErrRestore, name, err)
+		}
+		table, column, dotted := strings.Cut(name, ".")
+		for _, s := range secs {
+			if s.Table == name || (dotted && s.Table == table && slices.Contains(s.Columns, column)) {
+				return data[s.Off : s.Off+s.Len], nil
+			}
+		}
+		return nil, fmt.Errorf("%w: no table or column %q in the archive", ErrRestore, name)
+	})
 }
 
-func listIndex(v *media.Volume, bootstrapText string, ro RestoreOptions, scratch []scanScratch) (*archindex.Index, *RestoreStats, error) {
-	doc, err := bootstrap.Parse(bootstrapText)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
-	}
-	st := newSelectStats(v, ro)
-	x, err := readIndex(orBackground(ro.Context), v, doc, ro, scratch, st)
+// ListIndex is core.ListIndex through the engine's reused scratch.
+func (e *Engine) ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
+	_, x, st, err := e.readIndex(v, bootstrapText, ro)
 	if err != nil {
 		return nil, st, err
 	}
@@ -176,113 +154,112 @@ func listIndex(v *media.Volume, bootstrapText string, ro RestoreOptions, scratch
 	return x, st, nil
 }
 
-func newSelectStats(v *media.Volume, ro RestoreOptions) *RestoreStats {
-	return &RestoreStats{Mode: ro.Mode, Sheets: make([]SheetReport, v.Sheets())}
+// fallback answers a query the index cannot with a full restore: pick
+// selects the answer from the restored archive bytes.
+func (e *Engine) fallback(v *media.Volume, bootstrapText string, ro RestoreOptions, pick func(data []byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
+	var buf bytes.Buffer
+	st, err := e.RestoreToWriter(&buf, v, bootstrapText, ro)
+	if st == nil {
+		st = &RestoreStats{Mode: ro.Mode}
+	}
+	st.IndexFallbacks++
+	if err != nil {
+		return nil, st, err
+	}
+	out, err := pick(buf.Bytes())
+	if err != nil {
+		return nil, st, err
+	}
+	return append([]byte(nil), out...), st, nil
 }
 
-// readIndex probes the volume's reserved index slots sheet by sheet until
-// one parses, decoding through the mode-faithful path (emulated modes run
-// the archived MODecode program on the index frame too). When every index
-// slot is unreadable it tries the catalog's compressed index replica.
-// Returns nil — with RestoreStats.IndexFallbacks counted — when no usable
-// index exists; the caller falls back to a full restore. The only error is
-// cancellation: each sheet probe checks ctx so a query on a large damaged
-// volume aborts between frame scans, wrapping ErrRestore and the context's
-// error.
-func readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, ro RestoreOptions, scratch []scanScratch, st *RestoreStats) (*archindex.Index, error) {
-	if !doc.Index {
-		st.IndexFallbacks++
-		return nil, nil
+// readIndex parses the Bootstrap and probes the volume's reserved index
+// slots sheet by sheet until one parses, decoding through the
+// mode-faithful path (emulated modes run the archived MODecode program on
+// the index frame too). When every index slot is unreadable it tries the
+// catalogs' compressed index replicas. The index is nil — with
+// RestoreStats.IndexFallbacks counted — when no usable one exists; the
+// caller falls back to a full restore. The only errors are a malformed
+// Bootstrap and cancellation: each sheet probe checks the context so a
+// query on a large damaged volume aborts between frame scans, wrapping
+// ErrRestore and the context's error.
+func (e *Engine) readIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*bootstrap.Document, *archindex.Index, *RestoreStats, error) {
+	doc, err := bootstrap.Parse(bootstrapText)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
-	var moProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		var err error
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			st.IndexFallbacks++
-			return nil, nil
-		}
+	st := &RestoreStats{Mode: ro.Mode, Sheets: make([]SheetReport, v.Sheets())}
+	var dec frameDecoder
+	if doc.Index {
+		dec, err = newFrameDecoder(doc, ro.Mode)
 	}
-	sc := &scratch[0]
-	slot := boolInt(doc.Catalog) // the index slot follows the catalog slot
-	for s := 0; s < v.Sheets(); s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-		}
-		m, err := v.Sheet(s)
-		if err != nil || m.FrameCount() <= slot {
-			continue
-		}
-		start, err := v.SheetStart(s)
-		if err != nil {
-			continue
-		}
-		payload, hdr, ok := probeFrame(v, start+slot, s, ro.Mode, moProg, doc.Layout, sc, st)
-		if !ok || hdr.Kind != emblem.KindIndex {
-			continue
-		}
-		if x, err := archindex.Parse(payload); err == nil {
-			st.IndexFrames++
-			return x, nil
-		}
+	probes := []emblem.Kind{emblem.KindIndex, emblem.KindCatalog}
+	switch {
+	case !doc.Index || err != nil:
+		probes = nil
+	case !doc.Catalog:
+		probes = probes[:1]
 	}
-	if doc.Catalog {
+	ctx := orBackground(ro.Context)
+	for _, kind := range probes {
+		slot := 0
+		if kind == emblem.KindIndex {
+			slot = boolInt(doc.Catalog) // the index slot follows the catalog slot
+		}
 		for s := 0; s < v.Sheets(); s++ {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
+				return doc, nil, st, fmt.Errorf("%w: %w", ErrRestore, err)
 			}
 			m, err := v.Sheet(s)
-			if err != nil || m.FrameCount() == 0 {
+			if err != nil || m.FrameCount() <= slot {
 				continue
 			}
 			start, err := v.SheetStart(s)
 			if err != nil {
 				continue
 			}
-			payload, hdr, ok := probeFrame(v, start, s, ro.Mode, moProg, doc.Layout, sc, st)
-			if !ok || hdr.Kind != emblem.KindCatalog {
+			res := e.probeFrame(v, start+slot, s, dec, st)
+			if !res.decoded || res.hdr.Kind != kind {
 				continue
 			}
-			c, err := catalog.Parse(payload)
-			if err != nil || len(c.IndexReplica) == 0 {
-				continue
+			body := res.payload
+			if kind == emblem.KindCatalog {
+				c, err := catalog.Parse(body)
+				if err != nil || len(c.IndexReplica) == 0 {
+					continue
+				}
+				body = c.IndexReplica
 			}
-			if x, err := archindex.Parse(c.IndexReplica); err == nil {
-				st.CatalogFrames++
-				return x, nil
+			if x, err := archindex.Parse(body); err == nil {
+				if kind == emblem.KindIndex {
+					st.IndexFrames++
+				} else {
+					st.CatalogFrames++
+				}
+				return doc, x, st, nil
 			}
 		}
 	}
 	st.IndexFallbacks++
-	return nil, nil
+	return doc, nil, st, nil
 }
 
 // probeFrame scans and decodes one frame serially, tallying it like the
-// full pipeline would.
-func probeFrame(v *media.Volume, i, sheet int, mode Mode, moProg *dynarisc.Program, layout emblem.Layout, sc *scanScratch, st *RestoreStats) ([]byte, emblem.Header, bool) {
+// full pipeline would. A frame that cannot be scanned reports not decoded.
+func (e *Engine) probeFrame(v *media.Volume, i, sheet int, dec frameDecoder, st *RestoreStats) frameResult {
+	sc := &e.scratch[0]
 	scan, err := v.ScanFrameInto(&sc.scan, i)
 	if err != nil {
-		return nil, emblem.Header{}, false
+		return frameResult{}
 	}
 	st.FramesScanned++
-	if sheet < len(st.Sheets) {
-		st.Sheets[sheet].Frames++
-	}
-	var payload []byte
-	var hdr emblem.Header
-	switch mode {
-	case RestoreNative:
-		payload, hdr, _, err = mocoder.DecodeWith(&sc.dec, scan, layout)
-	default:
-		payload, hdr, err = decodeFrameEmulated(sc, moProg, scan, layout, mode)
-	}
-	if err != nil {
+	st.Sheets[sheet].Frames++
+	res := dec.decodeFrame(sc, scan)
+	if !res.decoded {
 		st.FramesFailed++
-		if sheet < len(st.Sheets) {
-			st.Sheets[sheet].FramesFailed++
-		}
-		return nil, emblem.Header{}, false
+		st.Sheets[sheet].FramesFailed++
 	}
-	return payload, hdr, true
+	return res
 }
 
 // groupExtent is one outer-code group's derived physical placement: its
@@ -372,9 +349,10 @@ func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExt
 
 // selectiveRange restores raw bytes [off, off+length) through the index:
 // computes the minimal closed set of groups, scans and decodes only their
-// frames, assembles them with the full restore's outer-code arithmetic
-// and decompresses only the overlapping restart blocks.
-func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, scratch []scanScratch, st *RestoreStats) ([]byte, error) {
+// frames, closes each group through the full restore's group-close step
+// as its last frame arrives, and decompresses only the overlapping
+// restart blocks.
+func (e *Engine) selectiveRange(v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, st *RestoreStats) ([]byte, error) {
 	capacity := mocoder.Capacity(doc.Layout)
 	geo, err := planGeometry(x, capacity, v)
 	if err != nil {
@@ -418,140 +396,80 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 
 	// The minimal closed set of groups: target-kind groups overlapping the
 	// stream span, plus — under emulation — every system group (the
-	// archived DBDecode program must be whole to run at all).
+	// archived DBDecode program must be whole to run at all). The plan is
+	// their frames in group order; every other frame of the volume is
+	// skipped without a single ScanFrameInto call.
 	var sel []groupExtent
+	var plan []int
 	for _, g := range geo {
-		switch {
-		case g.kind == kind && g.secOff < spanOff+spanLen && spanOff < g.secOff+g.secLen:
+		if (g.kind == kind && g.secOff < spanOff+spanLen && spanOff < g.secOff+g.secLen) ||
+			(g.kind == emblem.KindSystem && ro.Mode != RestoreNative) {
 			sel = append(sel, g)
-		case g.kind == emblem.KindSystem && ro.Mode != RestoreNative:
-			sel = append(sel, g)
-		}
-	}
-
-	var moProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			return nil, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
-		}
-	}
-
-	// Scan and decode only the selected groups' frames; every other frame
-	// of the volume is skipped without a single ScanFrameInto call.
-	var frameIdx []int
-	for _, g := range sel {
-		for f := 0; f < g.data+g.parity; f++ {
-			frameIdx = append(frameIdx, g.scanStart+f)
-		}
-	}
-	results := make([]frameResult, len(frameIdx))
-	decErr := forEachFrame(ctx, ro.Workers, len(frameIdx), func(_ context.Context, worker, i int) error {
-		sc := &scratch[worker]
-		scan, err := v.ScanFrameInto(&sc.scan, frameIdx[i])
-		if err != nil {
-			return fmt.Errorf("%w: scanning frame %d: %w", ErrRestore, frameIdx[i], err)
-		}
-		res := &results[i]
-		res.scanned = true
-		switch ro.Mode {
-		case RestoreNative:
-			var stats *mocoder.Stats
-			res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, doc.Layout)
-			if stats != nil {
-				res.corrected = stats.BytesCorrected
+			for f := 0; f < g.data+g.parity; f++ {
+				plan = append(plan, g.scanStart+f)
 			}
-		default:
-			res.payload, res.hdr, err = decodeFrameEmulated(sc, moProg, scan, doc.Layout, ro.Mode)
 		}
-		res.decoded = err == nil
-		return nil
-	})
-	if decErr != nil {
-		if errors.Is(decErr, ErrRestore) {
-			return nil, decErr
-		}
-		return nil, fmt.Errorf("%w: %w", ErrRestore, decErr)
 	}
 
-	// Serial per-group assembly in group order, mirroring the full
-	// restore's outer-code arithmetic so the recovered bytes are
+	dec, err := newFrameDecoder(doc, ro.Mode)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
+	}
+
+	// Each group closes the moment its last frame arrives, through the
+	// group-close step a full restore uses, so the recovered bytes are
 	// byte-identical to the corresponding slice of a full restore — lost
 	// groups included (Partial mode zero-fills exactly the group's stream
-	// extent, which is what the full restore's trimmed sink writes).
+	// extent, which is what the full restore's trimmed sink writes). The
+	// closer is an assembler used for that step alone; selective restore
+	// reads no catalog, so it holds no group checksums.
 	var spanBuf, sysBuf bytes.Buffer
-	base := 0
-	for _, g := range sel {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
+	closer := &assembler{st: st, partial: ro.Partial, zeros: make([]byte, capacity)}
+	var full [][]byte
+	gi := 0
+	consume := func(i int, res *frameResult) error {
+		g := &sel[gi]
+		p := plan[i] - g.scanStart
+		sh := &st.Sheets[g.sheet]
+		if p == 0 {
+			full = make([][]byte, g.data+g.parity)
 		}
-		size := g.data + g.parity
-		full := make([][]byte, size)
-		members := 0
-		var sh *SheetReport
-		if g.sheet < len(st.Sheets) {
-			sh = &st.Sheets[g.sheet]
+		if res.scanned {
+			st.FramesScanned++
+			sh.Frames++
+		}
+		if res.decoded && int(res.hdr.GroupID) == g.id && int(res.hdr.GroupPos) == p {
+			full[p] = make([]byte, capacity)
+			copy(full[p], res.payload)
+			st.BytesCorrected += res.corrected
 		} else {
-			sh = &SheetReport{}
+			st.FramesFailed++
+			sh.FramesFailed++
 		}
-		for p := 0; p < size; p++ {
-			res := &results[base+p]
-			if res.scanned {
-				st.FramesScanned++
-				sh.Frames++
-			}
-			if res.decoded && int(res.hdr.GroupID) == g.id && int(res.hdr.GroupPos) == p {
-				padded := make([]byte, capacity)
-				copy(padded, res.payload)
-				full[p] = padded
-				members++
-				st.BytesCorrected += res.corrected
-			} else {
-				st.FramesFailed++
-				sh.FramesFailed++
-			}
+		if p < len(full)-1 {
+			return nil
 		}
-		base += size
-
+		gi++
 		st.GroupsDecoded++
 		sh.Groups++
-		missing := size - members
-		rep := GroupReport{ID: g.id, Sheet: g.sheet, Kind: g.kind.String(), Frames: size, Missing: missing}
-		lost := false
-		if missing > 0 {
-			if err := mocoder.RecoverGroup(full); err != nil {
-				if !ro.Partial {
-					return nil, fmt.Errorf("%w: group %d: %w", ErrRestore, g.id, err)
-				}
-				lost = true
-				rep.Lost = true
-				st.GroupsLost++
-				sh.GroupsLost++
-			} else {
-				rep.Recovered = true
-				st.GroupsRecovered++
-				sh.GroupsRecovered++
+		rep := GroupReport{ID: g.id, Sheet: g.sheet, Kind: g.kind.String(), Frames: len(full)}
+		for _, m := range full {
+			if m == nil {
+				rep.Missing++
 			}
+		}
+		sink := &kindSink{w: &spanBuf, total: g.secLen}
+		if g.kind == emblem.KindSystem {
+			sink.w = &sysBuf
+		}
+		if err := closer.recoverGroup(full, g.data, &rep, sh, sink); err != nil {
+			return err
 		}
 		st.Groups = append(st.Groups, rep)
-
-		sink := &spanBuf
-		if g.kind == emblem.KindSystem {
-			sink = &sysBuf
-		}
-		if lost {
-			sink.Write(make([]byte, g.secLen))
-			st.BytesLost += g.secLen
-			continue
-		}
-		written := 0
-		for p := 0; p < g.data && written < g.secLen; p++ {
-			n := g.secLen - written
-			if n > capacity {
-				n = capacity
-			}
-			sink.Write(full[p][:n])
-			written += n
-		}
+		return nil
+	}
+	if err := dec.decodeFrames(orBackground(ro.Context), e.workers, e.scratch, len(plan), volumeScan(v, plan), consume); err != nil {
+		return nil, err
 	}
 
 	// Trim the assembled target-kind bytes to the exact stream span: the
@@ -578,25 +496,13 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	// Decompress only the overlapping restart blocks, each independently
 	// decodable — natively or through the archived DBDecode program
 	// reassembled from the system groups.
-	var dbProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		if dbProg, err = bootstrap.UnmarshalDynaRisc(sysBuf.Bytes()); err != nil {
-			return nil, fmt.Errorf("%w: system emblem payload: %w", ErrRestore, err)
-		}
-	}
-	decode := func(blob []byte) ([]byte, error) {
-		if ro.Mode == RestoreNative {
-			raw, err := dbcoder.Decompress(blob)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-			}
-			return raw, nil
-		}
-		return emulatedDecompress(dbProg, blob, ro.Mode)
+	decompress, err := decompressor(ro.Mode, &sysBuf)
+	if err != nil {
+		return nil, err
 	}
 	var out []byte
 	if len(blocks) == 0 {
-		raw, err := decode(stream)
+		raw, err := decompress(stream)
 		if err != nil {
 			return nil, err
 		}
@@ -607,7 +513,7 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	} else {
 		out = make([]byte, 0, length)
 		for _, b := range blocks {
-			raw, err := decode(stream[b.CompOff-spanOff : b.CompOff-spanOff+b.CompLen])
+			raw, err := decompress(stream[b.CompOff-spanOff : b.CompOff-spanOff+b.CompLen])
 			if err != nil {
 				return nil, err
 			}
@@ -626,60 +532,4 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	}
 	st.FramesSkipped = v.FrameCount() - st.FramesScanned
 	return out, nil
-}
-
-// rangeFallback answers a range query with a full restore and a slice —
-// the path taken when no usable index is readable.
-func rangeFallback(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
-	var buf bytes.Buffer
-	st, err := restoreToWriter(&buf, v, bootstrapText, ro, scratch)
-	if st == nil {
-		st = &RestoreStats{Mode: ro.Mode}
-	}
-	st.IndexFallbacks++
-	if err != nil {
-		return nil, st, err
-	}
-	data := buf.Bytes()
-	if off+length > len(data) {
-		return nil, st, fmt.Errorf("%w: range %d:%d beyond archive of %d bytes", ErrRestore, off, length, len(data))
-	}
-	return append([]byte(nil), data[off:off+length]...), st, nil
-}
-
-// sectionFallback answers a table/column query with a full restore,
-// locating the name by parsing the restored SQL dump.
-func sectionFallback(v *media.Volume, bootstrapText, name string, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
-	var buf bytes.Buffer
-	st, err := restoreToWriter(&buf, v, bootstrapText, ro, scratch)
-	if st == nil {
-		st = &RestoreStats{Mode: ro.Mode}
-	}
-	st.IndexFallbacks++
-	if err != nil {
-		return nil, st, err
-	}
-	data := buf.Bytes()
-	secs, serr := sqldump.Sections(data)
-	if serr != nil {
-		return nil, st, fmt.Errorf("%w: locating %q: %w", ErrRestore, name, serr)
-	}
-	table, column := name, ""
-	if i := strings.IndexByte(name, '.'); i > 0 {
-		table, column = name[:i], name[i+1:]
-	}
-	for _, s := range secs {
-		if s.Table == name {
-			return append([]byte(nil), data[s.Off:s.Off+s.Len]...), st, nil
-		}
-		if column == "" || s.Table != table {
-			continue
-		}
-		for _, c := range s.Columns {
-			if c == column {
-				return append([]byte(nil), data[s.Off:s.Off+s.Len]...), st, nil
-			}
-		}
-	}
-	return nil, st, fmt.Errorf("%w: no table or column %q in the archive", ErrRestore, name)
 }

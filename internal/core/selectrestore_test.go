@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,6 +237,67 @@ func TestRestoreRangePartialLoss(t *testing.T) {
 	if _, _, err := RestoreRange(arch.Volume, arch.BootstrapText, off, length,
 		RestoreOptions{Mode: RestoreNative}); err == nil {
 		t.Fatal("strict query over a lost group succeeded")
+	}
+}
+
+// TestRestoreRangeGroupReportsMatchFull: a range query closes its groups
+// through the same group-close step as a full restore. On an indexed raw
+// volume with one group damaged within parity (recovered) and another
+// beyond it under Partial (lost, though its surviving headers still
+// identify it), a range over both groups returns identical RestoreStats
+// at workers 1, 2 and 8, and each GroupReport matches the full Partial
+// restore's report for the same group on everything but Verified —
+// selective restore reads no catalog.
+func TestRestoreRangeGroupReportsMatchFull(t *testing.T) {
+	arch, data := indexedArchive(t, false)
+	// Sheet s holds group s behind its catalog and index slots: destroy
+	// three frames of group 0 and four of group 1.
+	for sheet, n := range []int{3, 4} {
+		for local := 2; local < 2+n; local++ {
+			if err := arch.Volume.Destroy(sheet, local); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, full, err := RestoreVolume(arch.Volume, arch.BootstrapText,
+		RestoreOptions{Mode: RestoreNative, Partial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullReports := map[int]GroupReport{}
+	for _, g := range full.Groups {
+		fullReports[g.ID] = g
+	}
+
+	length := 2 * arch.Options.GroupData * mocoder.Capacity(arch.Options.Profile.Layout)
+	if length > len(data) {
+		t.Fatalf("archive of %d bytes holds fewer than two full groups (%d bytes)", len(data), length)
+	}
+	var first *RestoreStats
+	for _, workers := range []int{1, 2, 8} {
+		_, st, err := RestoreRange(arch.Volume, arch.BootstrapText, 0, length,
+			RestoreOptions{Mode: RestoreNative, Partial: true, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if first == nil {
+			first = st
+		} else if !reflect.DeepEqual(st, first) {
+			t.Fatalf("workers=%d: stats differ from workers=1:\n%+v\n%+v", workers, st, first)
+		}
+	}
+	if len(first.Groups) != 2 || first.GroupsRecovered != 1 || first.GroupsLost != 1 {
+		t.Fatalf("want groups 0 (recovered) and 1 (lost), got %+v", first)
+	}
+	for _, got := range first.Groups {
+		want, ok := fullReports[got.ID]
+		if !ok {
+			t.Fatalf("group %d: no report from the full restore", got.ID)
+		}
+		if got.Sheet != want.Sheet || got.Kind != want.Kind || got.Frames != want.Frames ||
+			got.Missing != want.Missing || got.Recovered != want.Recovered || got.Lost != want.Lost {
+			t.Errorf("group %d: range report %+v, full restore %+v", got.ID, got, want)
+		}
 	}
 }
 
